@@ -48,9 +48,14 @@ from .surgery import (
 )
 
 
-def _env_max_steps() -> int:
-    raw = os.environ.get("PROOFLAB_MAX_STEPS")
-    return int(raw) if raw else DEFAULT_MAX_PRIOR
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,6 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--default-bit", type=int, choices=(0, 1), default=0)
         p.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP)
 
+    # a string default goes through the type, so a bad environment value
+    # is a usage error like a bad flag
+    max_steps = os.environ.get("PROOFLAB_MAX_STEPS") or str(DEFAULT_MAX_PRIOR)
+
     p = sub.add_parser("parse", help="canonicalize a formula")
     p.add_argument("formula")
     p.add_argument("--format", choices=("canonical", "pretty"), default="canonical")
@@ -70,17 +79,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="justify every deduction step")
     p.add_argument("deduction")
     sigma_opts(p)
-    p.add_argument("--max-steps", type=int, default=_env_max_steps())
+    p.add_argument("--max-steps", type=_non_negative_int, default=max_steps)
 
     p = sub.add_parser("interpret", help="print the induced reading")
     p.add_argument("deduction")
     sigma_opts(p)
-    p.add_argument("--max-steps", type=int, default=_env_max_steps())
+    p.add_argument("--max-steps", type=_non_negative_int, default=max_steps)
 
     p = sub.add_parser("prove", help="deduction file to proof file")
     p.add_argument("deduction")
     sigma_opts(p)
-    p.add_argument("--max-steps", type=int, default=_env_max_steps())
+    p.add_argument("--max-steps", type=_non_negative_int, default=max_steps)
     p.add_argument("--format", choices=("canonical", "pretty"), default="canonical")
     p.add_argument("--output", help="write here instead of stdout")
 

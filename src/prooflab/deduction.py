@@ -1,12 +1,13 @@
-"""Deduction validation, justifying-subset enumeration, and the induced
-interpretation picked by greatest prime product.
+"""Deduction validation and the induced interpretation picked by
+greatest prime product.
 
 A deduction is a finite sequence of classes over an extension context.
 A step is justified by membership in the extension, or by the
 conjunction or disjunction of some earlier steps reaching it in the
-Boolean order. Subset enumeration over the prior steps is exponential,
-so steps with more than ``max_prior`` predecessors raise
-:class:`ResourceLimit` when enumeration is actually required.
+Boolean order. Checks and readings need only the prefix conjunctions
+``AND(step 1..k)``; :func:`omega` and :func:`gamma` keep the subset
+definitions as the reference. A step that needs a justification and has
+more than ``max_prior`` predecessors raises :class:`ResourceLimit`.
 
 Because the extension is deductively closed, the original membership
 clauses (literal membership of the base set, or one-step derivability
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import InvalidDeduction, ResourceLimit
 from .propclass import (
+    TAUTOLOGY,
     PropClass,
     all_classes,
     big_and,
@@ -80,7 +82,7 @@ class Interpretation:
 @dataclass(frozen=True)
 class StepReport:
     index: int
-    clause: str | None  # 'a' | 'c' | 'd', None when unjustified
+    clause: str | None  # 'a' member, 'c' conjunction of earlier steps, None unjustified
     subset: frozenset[int] | None
     base: str | None  # 'a' in base, 'b' one step from a base member, else None
 
@@ -136,8 +138,13 @@ def _base_tag(d: Deduction, c: PropClass) -> str | None:
 
 
 def check_deduction(d: Deduction, max_prior: int = DEFAULT_MAX_PRIOR) -> DeductionReport:
-    """Justify every step, preferring membership, then conjunction, then
-    disjunction of earlier steps; enumeration uses ascending bitmask order."""
+    """Justify every step by membership, else by the conjunction of the
+    first set H of earlier steps, in ascending bitmask order, reaching it;
+    no disjunction reaches more. Such sets are closed under supersets, so
+    H exists when the prefix does, and from the highest index down, k is
+    dropped whenever the kept indices and 1..k-1 still reach the step."""
+    prefix = [TAUTOLOGY]  # prefix[k] = AND(step 1..k), built once needed
+    conj = accumulate(d.steps, class_and)
     reports = []
     for i in range(1, len(d) + 1):
         c = d.step(i)
@@ -145,15 +152,18 @@ def check_deduction(d: Deduction, max_prior: int = DEFAULT_MAX_PRIOR) -> Deducti
             reports.append(StepReport(i, "a", None, _base_tag(d, c)))
             continue
         _enumeration_guard(i - 1, max_prior)
-        found = None
-        for clause, combine in (("c", big_and), ("d", big_or)):
-            for h in _subsets(i - 1):
-                if entails(combine(d.step(j) for j in sorted(h)), c):
-                    found = StepReport(i, clause, h, None)
-                    break
-            if found:
-                break
-        reports.append(found or StepReport(i, None, None, None))
+        while len(prefix) < i:
+            prefix.append(next(conj))
+        if i == 1 or not entails(prefix[i - 1], c):
+            reports.append(StepReport(i, None, None, None))
+            continue
+        kept, kept_and = [], TAUTOLOGY
+        for k in range(i - 1, 0, -1):
+            if (kept or k > 1) and entails(class_and(kept_and, prefix[k - 1]), c):
+                continue
+            kept.append(k)
+            kept_and = class_and(kept_and, d.step(k))
+        reports.append(StepReport(i, "c", frozenset(kept), None))
     return DeductionReport(tuple(reports))
 
 
@@ -202,34 +212,23 @@ def induce_interpretation(
 ) -> Interpretation:
     """The canonical reading: depth-first from the last step, each visited
     step takes the justifying set with the greatest prime product, and
-    every step never reached is a premise.
-
-    Unique prime factorization makes the product map injective on index
-    sets, so the maximum is always unique; this is asserted on every run.
-    """
+    every step never reached is a premise. Justifying sets are closed
+    under supersets, so that set is the whole prefix {1..u-1}, and a
+    justified last step leads to every earlier step."""
     report = check_deduction(d, max_prior)
     if not report.valid:
         raise InvalidDeduction(f"step {report.first_invalid} is not justified")
-    assignment: dict[int, PhiValue] = {}
+    n = len(d)
+    _enumeration_guard(n - 1, max_prior)
+    prefix = [TAUTOLOGY, *accumulate(d.steps[:-1], class_and)]
 
-    def visit(u: int) -> None:
-        if u in assignment:
-            return
-        candidates = omega(d, u, max_prior)
-        if not candidates:
-            assignment[u] = 0
-            return
-        scored = sorted(candidates, key=gamma)
-        best = scored[-1]
-        assert len(scored) < 2 or gamma(scored[-2]) < gamma(best), "prime-product tie"
-        assignment[u] = best
-        for h in sorted(best, reverse=True):
-            visit(h)
+    def reached(u: int) -> bool:
+        return u > 1 and entails(prefix[u - 1], d.step(u))
 
-    visit(len(d))
-    for u in range(1, len(d) + 1):
-        assignment.setdefault(u, 0)
-    return Interpretation(assignment)
+    last = reached(n)
+    return Interpretation(
+        {u: frozenset(range(1, u)) if last and reached(u) else 0 for u in range(1, n + 1)}
+    )
 
 
 def validate_interpretation(d: Deduction, phi: Interpretation) -> bool:

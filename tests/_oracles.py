@@ -85,6 +85,57 @@ def omega_oracle(d: Deduction, u: int) -> set[frozenset[int]]:
     return hits
 
 
+def first_subset_oracle(d: Deduction, i: int) -> tuple[str, frozenset[int]] | None:
+    """The first prior index set, in ascending bitmask order, whose
+    conjunction reaches step ``i`` (clause 'c'); failing that, the first
+    whose disjunction does (clause 'd'); None when neither exists."""
+    atoms = deduction_atoms(d)
+    rows = 1 << len(atoms)
+    masks = [class_mask(c, atoms) for c in d.steps]
+    for clause in ("c", "d"):
+        for bits in range(1, 1 << (i - 1)):
+            h = [j + 1 for j in range(i - 1) if bits >> j & 1]
+            conj = (1 << rows) - 1
+            disj = 0
+            for j in h:
+                conj &= masks[j - 1]
+                disj |= masks[j - 1]
+            if mask_entails(conj if clause == "c" else disj, masks[i - 1], rows):
+                return clause, frozenset(h)
+    return None
+
+
+def reading_oracle(d: Deduction) -> dict[int, object]:
+    """The induced reading from its definition: depth-first from the last
+    step, each visited step takes the set in ``omega_oracle`` with the
+    greatest product of positional primes, and unvisited steps are 0."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < len(d):
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+
+    def product(h: frozenset[int]) -> int:
+        out = 1
+        for j in h:
+            out *= primes[j - 1]
+        return out
+
+    assignment: dict[int, object] = {}
+
+    def visit(u: int) -> None:
+        if u in assignment:
+            return
+        hits = omega_oracle(d, u)
+        assignment[u] = max(hits, key=product) if hits else 0
+        for h in sorted(assignment[u] or (), reverse=True):
+            visit(h)
+
+    visit(len(d))
+    return {u: assignment.get(u, 0) for u in range(1, len(d) + 1)}
+
+
 def step_valid_oracle(d: Deduction, i: int) -> bool:
     """Clause oracle: membership, or some prior subset reaching the step."""
     if member_oracle(d.context, d.step(i)):

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prooflab import (
     Deduction,
@@ -13,6 +14,7 @@ from prooflab import (
     check_rule,
     classical_rules_report,
     class_and,
+    class_not,
     gamma,
     induce_interpretation,
     lindenbaum_extend,
@@ -25,8 +27,12 @@ from prooflab.deduction import CLASSICAL_RULES, InferenceRule
 
 from _oracles import (
     deduction_valid_oracle,
+    first_subset_oracle,
+    member_oracle,
     omega_oracle,
+    random_formula,
     random_valid_deduction,
+    reading_oracle,
     step_valid_oracle,
 )
 
@@ -175,6 +181,23 @@ def test_induced_interpretation_unvisited_steps_are_premises(sp_p):
     assert induce_interpretation(d).assignment == {1: 0, 2: 0}
 
 
+def test_check_and_reading_skip_the_reference_spec(sp_p, monkeypatch):
+    # omega, gamma and the subset enumeration are the reference only
+    def banned(*args, **kwargs):
+        raise AssertionError("reference spec called on the fast path")
+
+    for name in ("_subsets", "omega", "gamma"):
+        monkeypatch.setattr(f"prooflab.deduction.{name}", banned)
+    # the first set in ascending bitmask order: {1,2} for q & r, and {2}
+    # (bitmask 2) before {1,2} or {3} for r | t
+    report = check_deduction(ded(sp_p, "q", "r", "q & r", "p", "r | t"))
+    assert [s.subset for s in report.steps] == [
+        None, None, frozenset({1, 2}), None, frozenset({2})
+    ]
+    phi = induce_interpretation(ded(sp_p, "p", "p | q", "p | q | r"))
+    assert phi.assignment == {1: 0, 2: frozenset({1}), 3: frozenset({1, 2})}
+
+
 def test_induce_rejects_invalid(sp_p):
     sp = lindenbaum_extend({cls("p")}, 0)
     with pytest.raises(InvalidDeduction):
@@ -202,8 +225,6 @@ def test_validate_interpretation_rejections(sp_p):
 
 def test_checker_matches_oracle_on_mutants(sp_p):
     rng = random.Random(13)
-    from _oracles import random_formula
-
     for trial in range(60):
         d = random_valid_deduction(rng, sp_p, ["p", "q", "r"], max_steps=5)
         steps = list(d.steps)
@@ -215,6 +236,47 @@ def test_checker_matches_oracle_on_mutants(sp_p):
         assert report.valid == deduction_valid_oracle(mutant)
         for s in report.steps:
             assert s.valid == step_valid_oracle(mutant, s.index)
+
+
+def _set_text(h):
+    return "{%s}" % ",".join(map(str, sorted(h)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6), st.integers(0, 2))
+def test_check_and_reading_match_subset_oracles(rng, n_atoms, inserted):
+    # valid deductions of at most 8 steps over at most 6 atoms, with up to
+    # two non-member steps inserted anywhere
+    atoms = ["p", "q", "r", "s", "t", "u"][:n_atoms]
+    literals = [a if rng.random() < 0.5 else "~" + a for a in atoms]
+    base = frozenset(cls(t) for t in rng.sample(literals, rng.randint(0, n_atoms)))
+    sp = lindenbaum_extend(base, rng.randint(0, 1))
+    steps = list(random_valid_deduction(rng, sp, atoms, max_steps=8 - inserted).steps)
+    for _ in range(inserted):
+        c = canonicalize(random_formula(rng, atoms))
+        steps.insert(rng.randint(0, len(steps)), class_not(c) if sp.member(c) else c)
+    d = Deduction(tuple(steps), sp)
+
+    expected = []
+    for i in range(1, len(d) + 1):
+        if member_oracle(sp, d.step(i)):
+            row = ["a", "-"]
+        else:
+            found = first_subset_oracle(d, i)
+            row = [found[0], _set_text(found[1])] if found else ["INVALID", "-"]
+        expected.append([str(i), *row])
+    report = check_deduction(d)
+    assert [line.split()[:3] for line in report.lines()[1:]] == expected
+
+    if not report.valid:
+        with pytest.raises(InvalidDeduction):
+            induce_interpretation(d)
+        return
+    reading = reading_oracle(d)
+    assert induce_interpretation(d).lines() == [
+        f"{u}: 0" if reading[u] == 0 else f"{u}: {_set_text(reading[u])}"
+        for u in sorted(reading)
+    ]
 
 
 def test_classical_rules_all_valid():

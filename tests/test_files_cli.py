@@ -301,6 +301,41 @@ def test_cli_env_max_steps(capsys, tmp_path, sigma_file, monkeypatch):
     assert out.strip().endswith("invalid at step 7")
 
 
+@pytest.mark.parametrize("command", ["check", "interpret", "prove"])
+def test_cli_max_steps_must_be_non_negative_int(
+    capsys, monkeypatch, command, ded_file, sigma_file
+):
+    code, _, err = run_cli(
+        capsys, command, ded_file, "--sigma", sigma_file, "--max-steps", "-1"
+    )
+    assert code == 2
+    assert "usage:" in err and "non-negative integer" in err
+    monkeypatch.setenv("PROOFLAB_MAX_STEPS", "abc")
+    code, _, err = run_cli(capsys, command, ded_file, "--sigma", sigma_file)
+    assert code == 2
+    assert "usage:" in err and "non-negative integer" in err
+
+
+def test_cli_prefix_conjunction_above_atom_cap(capsys, tmp_path):
+    # steps 1-5 are members over 15 atoms and step 6 is not; justifying
+    # step 7 conjoins the prefix 1..6, whose support of 17 atoms exceeds
+    # the table cap, although step 6 alone would reach it
+    ded = tmp_path / "wide.txt"
+    ded.write_text(
+        "~x01 & ~x02 & ~x03\n~x04 & ~x05 & ~x06\n~x07 & ~x08 & ~x09\n"
+        "~x10 & ~x11 & ~x12\n~x13 & ~x14 & ~x15\ny & z\ny\n"
+    )
+    sigma = tmp_path / "a.txt"
+    sigma.write_text("a\n")
+    for command in ("check", "interpret", "prove"):
+        code, out, err = run_cli(capsys, command, str(ded), "--sigma", str(sigma))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "error: ResourceLimit: combined support of 17 atoms exceeds the cap of 16"
+        )
+
+
 def test_cli_inconsistent_sigma(capsys, tmp_path, ded_file):
     bad = tmp_path / "bad.txt"
     bad.write_text("p\n~p\n")
