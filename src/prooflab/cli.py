@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
-Exit codes: 0 on success, 1 on a domain error (with a machine-readable
-``error: <Kind>: <detail>`` line on stderr), 2 on usage errors. Every
+Exit codes: 0 on success, 1 on a domain error or a file that cannot be
+read or written (with a machine-readable ``error: <Kind>: <detail>``
+line on stderr), 2 on usage errors. Every
 command that loads a base set prints the completion witness to stderr.
 All outputs are deterministic for fixed inputs and seed.
 """
@@ -30,7 +31,7 @@ from .files import (
 )
 from .module_algebra import add, check_module_axioms, scalar_mul
 from .proof import ProofNode, build_proof, digest_hex, pretty_class, pretty_proof, proof_eq
-from .propclass import DEFAULT_ATOM_CAP, all_classes
+from .propclass import DEFAULT_ATOM_CAP, MAX_ATOM_CAP, all_classes
 from .sigma import (
     FORMAL_ONE,
     ClassScalar,
@@ -58,6 +59,14 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _atom_cap(text: str) -> int:
+    # the ceiling keeps a cap from asking for tables of 2**cap bits
+    value = _non_negative_int(text)
+    if value > MAX_ATOM_CAP:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_ATOM_CAP}, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="prooflab")
     sub = top.add_subparsers(dest="command", required=True)
@@ -65,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def sigma_opts(p, required=False):
         p.add_argument("--sigma", required=required, help="base-set file")
         p.add_argument("--default-bit", type=int, choices=(0, 1), default=0)
-        p.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP)
+        p.add_argument("--atom-cap", type=_atom_cap, default=DEFAULT_ATOM_CAP)
 
     # a string default goes through the type, so a bad environment value
     # is a usage error like a bad flag
@@ -74,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="canonicalize a formula")
     p.add_argument("formula")
     p.add_argument("--format", choices=("canonical", "pretty"), default="canonical")
-    p.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP)
+    p.add_argument("--atom-cap", type=_atom_cap, default=DEFAULT_ATOM_CAP)
 
     p = sub.add_parser("check", help="justify every deduction step")
     p.add_argument("deduction")
@@ -111,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="ring and module law audit")
     sigma_opts(p, required=True)
-    p.add_argument("--atoms", type=int, default=2)
+    p.add_argument("--atoms", type=int, choices=(1, 2, 3), default=2)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="also write the report here")
@@ -127,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output")
 
     p = sub.add_parser("rules", help="classical rule-table validity report")
-    p.add_argument("--atoms", type=int, default=2)
+    p.add_argument("--atoms", type=int, choices=(1, 2, 3), default=2)
 
     return top
 
@@ -166,6 +175,9 @@ def run(argv: list[str]) -> int:
     except ProofLabError as e:
         print(f"error: {e.kind}: {e}", file=sys.stderr)
         return 1
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args) -> int:
@@ -179,7 +191,7 @@ def _dispatch(args) -> int:
 
     if args.command == "check":
         d = _load_deduction(args)
-        report = check_deduction(d, args.max_steps)
+        report = check_deduction(d, args.max_steps, args.atom_cap)
         for line in report.lines():
             print(line)
         print("valid" if report.valid else f"invalid at step {report.first_invalid}")
@@ -187,15 +199,15 @@ def _dispatch(args) -> int:
 
     if args.command == "interpret":
         d = _load_deduction(args)
-        phi = induce_interpretation(d, args.max_steps)
+        phi = induce_interpretation(d, args.max_steps, args.atom_cap)
         for line in phi.lines():
             print(line)
         return 0
 
     if args.command == "prove":
         d = _load_deduction(args)
-        phi = induce_interpretation(d, args.max_steps)
-        r = build_proof(d, phi)
+        phi = induce_interpretation(d, args.max_steps, args.atom_cap)
+        r = build_proof(d, phi, args.atom_cap)
         _emit_proof(args, r, pretty=args.format == "pretty")
         return 0
 
@@ -210,7 +222,7 @@ def _dispatch(args) -> int:
 
     if args.command == "add":
         sp = _load_sigma(args)
-        r = add(read_proof_file(args.proof_a), read_proof_file(args.proof_b), sp)
+        r = add(read_proof_file(args.proof_a), read_proof_file(args.proof_b), sp, args.atom_cap)
         _emit_proof(args, r)
         return 0
 
@@ -219,7 +231,7 @@ def _dispatch(args) -> int:
         s = FORMAL_ONE if args.scalar == "e" else ClassScalar(
             read_formula_arg(args.scalar, args.atom_cap)
         )
-        r = scalar_mul(s, read_proof_file(args.proof), sp)
+        r = scalar_mul(s, read_proof_file(args.proof), sp, args.atom_cap)
         _emit_proof(args, r)
         return 0
 
@@ -245,7 +257,7 @@ def _dispatch(args) -> int:
 
 
 def _axioms_report(sp: SigmaPrime, atoms: int, samples: int, seed: int) -> str:
-    names = ("p", "q", "r", "s")[: max(1, min(atoms, 4))]
+    names = ("p", "q", "r")[:atoms]
     members = [c for c in all_classes(names) if sp.member(c)]
     ring = check_ring_axioms(sp, members)
     rng = random.Random(seed)

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, product
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import InvalidDeduction, ResourceLimit
 from .propclass import (
+    DEFAULT_ATOM_CAP,
     TAUTOLOGY,
     PropClass,
     all_classes,
@@ -137,14 +139,16 @@ def _base_tag(d: Deduction, c: PropClass) -> str | None:
     return None
 
 
-def check_deduction(d: Deduction, max_prior: int = DEFAULT_MAX_PRIOR) -> DeductionReport:
+def check_deduction(
+    d: Deduction, max_prior: int = DEFAULT_MAX_PRIOR, atom_cap: int = DEFAULT_ATOM_CAP
+) -> DeductionReport:
     """Justify every step by membership, else by the conjunction of the
     first set H of earlier steps, in ascending bitmask order, reaching it;
     no disjunction reaches more. Such sets are closed under supersets, so
     H exists when the prefix does, and from the highest index down, k is
     dropped whenever the kept indices and 1..k-1 still reach the step."""
     prefix = [TAUTOLOGY]  # prefix[k] = AND(step 1..k), built once needed
-    conj = accumulate(d.steps, class_and)
+    conj = accumulate(d.steps, partial(class_and, atom_cap=atom_cap))
     reports = []
     for i in range(1, len(d) + 1):
         c = d.step(i)
@@ -159,10 +163,10 @@ def check_deduction(d: Deduction, max_prior: int = DEFAULT_MAX_PRIOR) -> Deducti
             continue
         kept, kept_and = [], TAUTOLOGY
         for k in range(i - 1, 0, -1):
-            if (kept or k > 1) and entails(class_and(kept_and, prefix[k - 1]), c):
+            if (kept or k > 1) and entails(class_and(kept_and, prefix[k - 1], atom_cap), c):
                 continue
             kept.append(k)
-            kept_and = class_and(kept_and, d.step(k))
+            kept_and = class_and(kept_and, d.step(k), atom_cap)
         reports.append(StepReport(i, "c", frozenset(kept), None))
     return DeductionReport(tuple(reports))
 
@@ -208,19 +212,19 @@ def gamma(h: Iterable[int]) -> int:
 
 
 def induce_interpretation(
-    d: Deduction, max_prior: int = DEFAULT_MAX_PRIOR
+    d: Deduction, max_prior: int = DEFAULT_MAX_PRIOR, atom_cap: int = DEFAULT_ATOM_CAP
 ) -> Interpretation:
     """The canonical reading: depth-first from the last step, each visited
     step takes the justifying set with the greatest prime product, and
     every step never reached is a premise. Justifying sets are closed
     under supersets, so that set is the whole prefix {1..u-1}, and a
     justified last step leads to every earlier step."""
-    report = check_deduction(d, max_prior)
+    report = check_deduction(d, max_prior, atom_cap)
     if not report.valid:
         raise InvalidDeduction(f"step {report.first_invalid} is not justified")
     n = len(d)
     _enumeration_guard(n - 1, max_prior)
-    prefix = [TAUTOLOGY, *accumulate(d.steps[:-1], class_and)]
+    prefix = [TAUTOLOGY, *accumulate(d.steps[:-1], partial(class_and, atom_cap=atom_cap))]
 
     def reached(u: int) -> bool:
         return u > 1 and entails(prefix[u - 1], d.step(u))
@@ -231,7 +235,9 @@ def induce_interpretation(
     )
 
 
-def validate_interpretation(d: Deduction, phi: Interpretation) -> bool:
+def validate_interpretation(
+    d: Deduction, phi: Interpretation, atom_cap: int = DEFAULT_ATOM_CAP
+) -> bool:
     """Check the reading conditions: premises must belong to the extension
     and every index set must reach its step by conjunction or disjunction."""
     if set(phi.assignment) != set(range(1, len(d) + 1)):
@@ -245,7 +251,10 @@ def validate_interpretation(d: Deduction, phi: Interpretation) -> bool:
         if not v or not all(1 <= h < i for h in v):
             return False
         parts = [d.step(j) for j in sorted(v)]
-        if not (entails(big_and(parts), d.step(i)) or entails(big_or(parts), d.step(i))):
+        if not (
+            entails(big_and(parts, atom_cap), d.step(i))
+            or entails(big_or(parts, atom_cap), d.step(i))
+        ):
             return False
     return True
 

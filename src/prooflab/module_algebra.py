@@ -21,7 +21,17 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .propclass import PropClass, TAUTOLOGY, big_and, class_and, class_iff, class_or, entails, is_tautology
+from .propclass import (
+    DEFAULT_ATOM_CAP,
+    TAUTOLOGY,
+    PropClass,
+    big_and,
+    class_and,
+    class_iff,
+    class_or,
+    entails,
+    is_tautology,
+)
 from .proof import (
     Justification,
     ProofNode,
@@ -38,6 +48,7 @@ def _merge_with_case(
     alpha: PropClass,
     z1: PropClass,
     z2: PropClass,
+    atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> tuple[Justification, int]:
     """Case-defined justification merge; returns (result, case index).
 
@@ -56,7 +67,7 @@ def _merge_with_case(
         return d1, 3
     diff = d1 ^ d2
     assert diff, "distinct child sets cannot have an empty symmetric difference"
-    if entails(big_and(c.conclusion for c in diff), class_and(z1, z2)):
+    if entails(big_and((c.conclusion for c in diff), atom_cap), class_and(z1, z2, atom_cap)):
         return frozenset(diff), 4
     return None, 4
 
@@ -73,30 +84,34 @@ def delta_merge(
     return _merge_with_case(d1, d2, alpha, z1, z2)[0]
 
 
-def add(r1: ProofNode, r2: ProofNode, sp: SigmaPrime) -> ProofNode:
+def add(
+    r1: ProofNode, r2: ProofNode, sp: SigmaPrime, atom_cap: int = DEFAULT_ATOM_CAP
+) -> ProofNode:
     """Module sum: conclusion is the biconditional, justifications merge."""
     sp.require_member(r1.conclusion)
     sp.require_member(r2.conclusion)
     z1, z2 = r1.conclusion, r2.conclusion
-    alpha = class_iff(z1, z2)
-    merged, case = _merge_with_case(r1.children, r2.children, alpha, z1, z2)
+    alpha = class_iff(z1, z2, atom_cap)
+    merged, case = _merge_with_case(r1.children, r2.children, alpha, z1, z2, atom_cap)
     if case == 4 and merged is not None:
         # well-definedness chain: the kept set reaches z1 & z2, which
         # reaches the biconditional conclusion
-        combined = big_and(c.conclusion for c in merged)
-        assert entails(combined, class_and(z1, z2))
-        assert entails(class_and(z1, z2), alpha)
+        combined = big_and((c.conclusion for c in merged), atom_cap)
+        assert entails(combined, class_and(z1, z2, atom_cap))
+        assert entails(class_and(z1, z2, atom_cap), alpha)
     return normalize(ProofNode(alpha, merged))
 
 
-def scalar_mul(s: Scalar, r: ProofNode, sp: SigmaPrime) -> ProofNode:
+def scalar_mul(
+    s: Scalar, r: ProofNode, sp: SigmaPrime, atom_cap: int = DEFAULT_ATOM_CAP
+) -> ProofNode:
     """Scalar product: disjoin the scalar onto the conclusion, keep the
     justification; the formal identity returns the proof unchanged."""
     sp.require_member(r.conclusion)
     if isinstance(s, FormalOne):
         return normalize(r)
     sp.require_member(s.payload)
-    return normalize(ProofNode(class_or(s.payload, r.conclusion), r.children))
+    return normalize(ProofNode(class_or(s.payload, r.conclusion, atom_cap), r.children))
 
 
 def neutral_proof(sp: SigmaPrime) -> ProofNode:

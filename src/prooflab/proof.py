@@ -23,6 +23,7 @@ from .errors import InvalidInterpretation, ParseError
 from .formula import render
 from .propclass import (
     CONTRADICTION,
+    DEFAULT_ATOM_CAP,
     PropClass,
     class_from_text,
     is_tautology,
@@ -97,14 +98,16 @@ def sorted_children(r: ProofNode) -> list[ProofNode]:
     return sorted(r.children, key=canonical_serialize)
 
 
-def build_proof(d: Deduction, phi: Interpretation) -> ProofNode:
+def build_proof(
+    d: Deduction, phi: Interpretation, atom_cap: int = DEFAULT_ATOM_CAP
+) -> ProofNode:
     """The proof tree of an interpreted deduction.
 
     Structural recursion from the final step: a premise index becomes a
     premise node, an index set becomes the set of its sub-proofs (equal
     subtrees collapse). The result is normalized.
     """
-    if not validate_interpretation(d, phi):
+    if not validate_interpretation(d, phi, atom_cap):
         raise InvalidInterpretation("the assignment does not interpret this deduction")
 
     nodes: dict[int, ProofNode] = {}

@@ -7,83 +7,173 @@ are enumerated by binary counting with the first support atom most
 significant, which fixes a bit-exact canonical form: two formulas are
 logically equivalent exactly when they canonicalize to the same value.
 
-Tables are bounded by ``DEFAULT_ATOM_CAP`` support atoms; operations
-that would exceed the cap raise :class:`ResourceLimit`.
+The table is one ``int`` whose bit m is the value at the m-th
+assignment, so every table operation works on whole rows at once
+(Knuth, TAOCP 4A, 7.1.1-7.1.2). Over n atoms, *variable* i is the
+atom at support position n-1-i: row m sets variable i when bit i of m
+is 1.
+
+Tables are bounded by an atom cap (``DEFAULT_ATOM_CAP`` unless the
+caller passes another); operations that would exceed it raise
+:class:`ResourceLimit`. ``MAX_ATOM_CAP`` is the largest cap a caller
+should ask for: a 24-atom table takes 2 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache, partial, reduce
+from typing import Iterable, Sequence
 
 from .errors import ParseError, ResourceLimit
-from .formula import ATOM_RE, And, Atom, Formula, Not, Or, Valuation, atoms_of, evaluate
+from .formula import ATOM_RE, And, Atom, Formula, Not, Or, Valuation, atoms_of
 
 DEFAULT_ATOM_CAP = 16
+MAX_ATOM_CAP = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PropClass:
-    """An equivalence class of formulas as an essential-support table."""
+    """An equivalence class of formulas as an essential-support table.
+
+    ``PropClass(support, table)`` validates a table given as a tuple of
+    bits; ``bits`` holds the same table packed into one int.
+    """
 
     support: tuple[str, ...]
-    table: tuple[int, ...]
+    bits: int
 
-    def __post_init__(self):
-        if list(self.support) != sorted(set(self.support)):
+    def __init__(self, support: tuple[str, ...], table: tuple[int, ...]):
+        if list(support) != sorted(set(support)):
             raise ValueError("support must be sorted and duplicate-free")
-        for name in self.support:
+        for name in support:
             if ATOM_RE.fullmatch(name) is None:
                 raise ValueError(f"invalid atom name {name!r}")
-        if len(self.table) != 1 << len(self.support):
+        n = len(support)
+        if len(table) != 1 << n:
             raise ValueError("table length must be 2**len(support)")
-        if any(b not in (0, 1) for b in self.table):
+        if any(b not in (0, 1) for b in table):
             raise ValueError("table entries must be bits")
-        for j in range(len(self.support)):
-            if not _depends(self.table, len(self.support), j):
-                raise ValueError(f"support atom {self.support[j]!r} is not essential")
+        bits = sum(1 << m for m, b in enumerate(table) if b)
+        cols = _columns(n)
+        for j in range(n):
+            if not _essential(bits, cols, n - 1 - j):
+                raise ValueError(f"support atom {support[j]!r} is not essential")
+        object.__setattr__(self, "support", tuple(support))
+        object.__setattr__(self, "bits", bits)
+
+    @property
+    def table(self) -> tuple[int, ...]:
+        """The truth table as a tuple of bits in counting order."""
+        return tuple(self.bits >> m & 1 for m in range(1 << len(self.support)))
 
     def text(self) -> str:
         """Canonical text form ``[a,b;0101]``; tautology is ``[;1]``."""
-        return "[%s;%s]" % (",".join(self.support), "".join(map(str, self.table)))
+        rows = 1 << len(self.support)
+        return "[%s;%s]" % (",".join(self.support), format(self.bits, f"0{rows}b")[::-1])
 
     def __str__(self) -> str:
         return self.text()
+
+    def __repr__(self) -> str:
+        return f"PropClass(support={self.support!r}, table={self.table!r})"
+
+
+def _make(support: tuple[str, ...], bits: int) -> PropClass:
+    """A class from a table already known to be canonical."""
+    c = object.__new__(PropClass)
+    object.__setattr__(c, "support", support)
+    object.__setattr__(c, "bits", bits)
+    return c
+
+
+def _columns(n: int) -> tuple[int, ...]:
+    """``cols[i]``: the rows over n variables where variable i is 1.
+
+    Memoized up to the default cap (240 KB in all); above it they are
+    rebuilt per operation, so the 48 MB of a 24-atom set is not kept."""
+    if n <= DEFAULT_ATOM_CAP:
+        return _small_columns(n)
+    return _double(_columns(n - 1))
+
+
+@lru_cache(maxsize=DEFAULT_ATOM_CAP + 1)
+def _small_columns(n: int) -> tuple[int, ...]:
+    return _double(_small_columns(n - 1)) if n else ()
+
+
+def _double(cols: tuple[int, ...]) -> tuple[int, ...]:
+    """The columns over one more variable, the new one most significant."""
+    half = 1 << len(cols)
+    return tuple(c | c << half for c in cols) + (((1 << half) - 1) << half,)
+
+
+def _essential(t: int, cols: tuple[int, ...], i: int) -> bool:
+    """Whether the table ``t`` over the columns ``cols`` depends on variable i."""
+    return t & cols[i] != (t << (1 << i)) & cols[i]
+
+
+def _swap(t: int, cols: tuple[int, ...], i: int) -> int:
+    """Exchange variables i and i+1: one delta swap."""
+    up = cols[i] & ~cols[i + 1]  # rows with variable i set, i+1 clear
+    s = 1 << i
+    down = up << s
+    return t & ~(up | down) | (t & up) << s | (t & down) >> s
+
+
+def _halves(t: int, n: int, i: int) -> tuple[int, int]:
+    """The cofactors of ``t`` at variable i = 0 and i = 1, as tables over
+    the other n-1 variables in their order."""
+    cols = _columns(n)
+    for k in range(i, n - 1):
+        t = _swap(t, cols, k)
+    half = 1 << (n - 1)
+    return t & ((1 << half) - 1), t >> half
 
 
 TAUTOLOGY = PropClass((), (1,))
 CONTRADICTION = PropClass((), (0,))
 
 
-def _depends(table: Sequence[int], n: int, j: int) -> bool:
-    stride = 1 << (n - 1 - j)
-    return any(
-        table[m] != table[m | stride] for m in range(1 << n) if not m & stride
-    )
+def _expand(c: PropClass, atoms: Sequence[str]) -> int:
+    """The table of ``c`` over ``atoms``, a sorted superset of its support."""
+    k, n = len(c.support), len(atoms)
+    t = c.bits
+    if k == n:
+        return t
+    for v in range(k, n):  # repeat the table once per new variable
+        t |= t << (1 << v)
+    cols = _columns(n)
+    target = {a: n - 1 - j for j, a in enumerate(atoms)}
+    # highest variable first, so every slot it passes holds a new one
+    for j, a in enumerate(c.support):
+        for v in range(k - 1 - j, target[a]):
+            t = _swap(t, cols, v)
+    return t
 
 
-def _pruned(atoms: Sequence[str], table: Sequence[int]) -> PropClass:
+def _pruned(atoms: Sequence[str], t: int) -> PropClass:
     """Project out the atoms the table does not depend on."""
     n = len(atoms)
-    keep = [j for j in range(n) if _depends(table, n, j)]
-    if len(keep) == n:
-        return PropClass(tuple(atoms), tuple(table))
-    sub = []
-    for m in range(1 << len(keep)):
-        full = 0
-        for k, j in enumerate(keep):
-            if m >> (len(keep) - 1 - k) & 1:
-                full |= 1 << (n - 1 - j)
-        sub.append(table[full])
-    return PropClass(tuple(atoms[j] for j in keep), tuple(sub))
+    cols = _columns(n)
+    dead = [i for i in range(n) if not _essential(t, cols, i)]
+    for i in reversed(dead):  # the variables below i keep their index
+        t = _halves(t, n, i)[0]
+        n -= 1
+    dropped = {len(atoms) - 1 - i for i in dead}
+    return _make(tuple(a for j, a in enumerate(atoms) if j not in dropped), t)
 
 
-def _row_value(c: PropClass, positions: Sequence[int], m: int, n: int) -> int:
-    idx = 0
-    for j in positions:
-        idx = idx << 1 | m >> (n - 1 - j) & 1
-    return c.table[idx]
+def _eval_columns(f: Formula, column: dict[str, int], full: int) -> int:
+    if isinstance(f, Atom):
+        return column[f.name]
+    if isinstance(f, Not):
+        return full ^ _eval_columns(f.child, column, full)
+    if isinstance(f, And):
+        return _eval_columns(f.left, column, full) & _eval_columns(f.right, column, full)
+    if isinstance(f, Or):
+        return _eval_columns(f.left, column, full) | _eval_columns(f.right, column, full)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def canonicalize(f: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
@@ -92,11 +182,9 @@ def canonicalize(f: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
     if len(atoms) > atom_cap:
         raise ResourceLimit(f"{len(atoms)} atoms exceed the support cap of {atom_cap}")
     n = len(atoms)
-    table = []
-    for m in range(1 << n):
-        v = Valuation({a: m >> (n - 1 - j) & 1 for j, a in enumerate(atoms)})
-        table.append(evaluate(f, v))
-    return _pruned(atoms, table)
+    cols = _columns(n)
+    column = {a: cols[n - 1 - j] for j, a in enumerate(atoms)}
+    return _pruned(atoms, _eval_columns(f, column, (1 << (1 << n)) - 1))
 
 
 def evaluate_class(c: PropClass, v: Valuation) -> int:
@@ -104,63 +192,68 @@ def evaluate_class(c: PropClass, v: Valuation) -> int:
     idx = 0
     for name in c.support:
         idx = idx << 1 | v.bit(name)
-    return c.table[idx]
+    return c.bits >> idx & 1
 
 
 @lru_cache(maxsize=1 << 16)
-def _combine2(op: str, a: PropClass, b: PropClass) -> PropClass:
+def _combine2(op: str, a: PropClass, b: PropClass, atom_cap: int) -> PropClass:
     atoms = sorted(set(a.support) | set(b.support))
-    if len(atoms) > DEFAULT_ATOM_CAP:
+    if len(atoms) > atom_cap:
         raise ResourceLimit(
-            f"combined support of {len(atoms)} atoms exceeds the cap of {DEFAULT_ATOM_CAP}"
+            f"combined support of {len(atoms)} atoms exceeds the cap of {atom_cap}"
         )
-    n = len(atoms)
-    pa = [atoms.index(x) for x in a.support]
-    pb = [atoms.index(x) for x in b.support]
-    fn: Callable[[int, int], int] = _OPS[op]
-    table = [
-        fn(_row_value(a, pa, m, n), _row_value(b, pb, m, n)) for m in range(1 << n)
-    ]
-    return _pruned(atoms, table)
+    x, y = _expand(a, atoms), _expand(b, atoms)
+    if op == "and":
+        t = x & y
+    elif op == "or":
+        t = x | y
+    else:
+        t = ((1 << (1 << len(atoms))) - 1) ^ x ^ y
+    return _pruned(atoms, t)
 
 
-_OPS = {
-    "and": lambda x, y: x & y,
-    "or": lambda x, y: x | y,
-    "iff": lambda x, y: int(x == y),
-}
+def class_and(a: PropClass, b: PropClass, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
+    return _combine2("and", a, b, atom_cap)
 
 
-def class_and(a: PropClass, b: PropClass) -> PropClass:
-    return _combine2("and", a, b)
-
-
-def class_or(a: PropClass, b: PropClass) -> PropClass:
-    return _combine2("or", a, b)
+def class_or(a: PropClass, b: PropClass, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
+    return _combine2("or", a, b, atom_cap)
 
 
 def class_not(a: PropClass) -> PropClass:
     # complementation preserves essential support, so no re-pruning
-    return PropClass(a.support, tuple(1 - x for x in a.table))
+    return _make(a.support, ((1 << (1 << len(a.support))) - 1) ^ a.bits)
 
 
-def class_iff(a: PropClass, b: PropClass) -> PropClass:
+def class_iff(a: PropClass, b: PropClass, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
     """The biconditional class ``(~a | b) & (~b | a)``."""
-    return _combine2("iff", a, b)
+    return _combine2("iff", a, b, atom_cap)
 
 
-def big_and(classes: Iterable[PropClass]) -> PropClass:
+def big_and(classes: Iterable[PropClass], atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
     parts = list(classes)
     if not parts:
         raise ValueError("big_and needs a nonempty list")
-    return reduce(class_and, parts)
+    return reduce(partial(class_and, atom_cap=atom_cap), parts)
 
 
-def big_or(classes: Iterable[PropClass]) -> PropClass:
+def big_or(classes: Iterable[PropClass], atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
     parts = list(classes)
     if not parts:
         raise ValueError("big_or needs a nonempty list")
-    return reduce(class_or, parts)
+    return reduce(partial(class_or, atom_cap=atom_cap), parts)
+
+
+def _quantified(c: PropClass, keep: set[str], exists: bool) -> int:
+    """The table of ``c`` over its atoms in ``keep``, with every other
+    atom quantified out existentially or universally."""
+    t, n = c.bits, len(c.support)
+    for j, a in enumerate(c.support):  # highest variable first
+        if a not in keep:
+            low, high = _halves(t, n, len(c.support) - 1 - j)
+            t = low | high if exists else low & high
+            n -= 1
+    return t
 
 
 @lru_cache(maxsize=1 << 16)
@@ -169,14 +262,14 @@ def entails(a: PropClass, b: PropClass) -> bool:
 
     One-step derivability by the restricted calculus (drop a conjunct /
     add a disjunct) coincides with this order at class level.
+
+    Compared over the shared atoms: ``a`` entails ``b`` exactly when
+    ``a`` with its own atoms quantified existentially entails ``b`` with
+    its own atoms quantified universally, so no table grows beyond its
+    operands and no cap applies.
     """
-    atoms = sorted(set(a.support) | set(b.support))
-    n = len(atoms)
-    pa = [atoms.index(x) for x in a.support]
-    pb = [atoms.index(x) for x in b.support]
-    return all(
-        _row_value(a, pa, m, n) <= _row_value(b, pb, m, n) for m in range(1 << n)
-    )
+    shared = set(a.support) & set(b.support)
+    return _quantified(a, shared, True) & ~_quantified(b, shared, False) == 0
 
 
 def is_tautology(c: PropClass) -> bool:
@@ -187,9 +280,9 @@ def all_classes(atoms: Sequence[str]) -> list[PropClass]:
     """Every Boolean-function class over ``atoms`` (2^(2^k) of them)."""
     names = sorted(set(atoms))
     rows = 1 << len(names)
+    # t lists the table first row most significant, as the text form does
     return [
-        _pruned(names, [t >> (rows - 1 - m) & 1 for m in range(rows)])
-        for t in range(1 << rows)
+        _pruned(names, int(format(t, f"0{rows}b")[::-1], 2)) for t in range(1 << rows)
     ]
 
 
@@ -215,11 +308,11 @@ def representative(c: PropClass) -> Formula:
     """
     if not c.support:
         p = Atom("p")
-        return Or(p, Not(p)) if c.table[0] else And(p, Not(p))
+        return Or(p, Not(p)) if c.bits else And(p, Not(p))
     n = len(c.support)
     minterms = []
     for m in range(1 << n):
-        if not c.table[m]:
+        if not c.bits >> m & 1:
             continue
         lits = [
             Atom(name) if m >> (n - 1 - j) & 1 else Not(Atom(name))

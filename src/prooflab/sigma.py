@@ -76,14 +76,41 @@ def lindenbaum_extend(
     """
     base = frozenset(sigma)
     atoms = sorted({a for c in base for a in c.support})
-    n = len(atoms)
-    for m in range(1 << n):
-        v = Valuation(
-            {a: m >> (n - 1 - j) & 1 for j, a in enumerate(atoms)}, default_bit
-        )
-        if all(evaluate_class(c, v) == 1 for c in base):
-            return SigmaPrime(base, v, default_bit)
-    raise Inconsistent("the base set has no satisfying assignment")
+    assign = dict(zip(atoms, _smallest_assignment(atoms, list(base))))
+    return SigmaPrime(base, Valuation(assign, default_bit), default_bit)
+
+
+def _smallest_assignment(atoms: list[str], classes: list[PropClass]) -> list[int]:
+    """The first assignment to ``atoms`` in counting order (first atom most
+    significant) satisfying every class: depth-first, 0 before 1, each
+    class tested once its last support atom is assigned."""
+    position = {a: k for k, a in enumerate(atoms)}
+    due: list[list[tuple[PropClass, list[int]]]] = [[] for _ in range(len(atoms) + 1)]
+    for c in classes:
+        places = [position[a] for a in c.support]
+        due[places[-1] + 1 if places else 0].append((c, places))
+
+    def holds(depth: int) -> bool:
+        for c, places in due[depth]:
+            idx = 0
+            for k in places:
+                idx = idx << 1 | values[k]
+            if not c.bits >> idx & 1:
+                return False
+        return True
+
+    values: list[int] = []
+    while True:
+        if holds(len(values)):
+            if len(values) == len(atoms):
+                return values
+            values.append(0)
+            continue
+        while values and values[-1]:
+            values.pop()
+        if not values:
+            raise Inconsistent("the base set has no satisfying assignment")
+        values[-1] = 1
 
 
 def ring_add(sp: SigmaPrime, a: PropClass, b: PropClass) -> PropClass:

@@ -35,12 +35,16 @@ def all_assignments(atoms: list[str]):
         yield {a: (m >> (n - 1 - j)) & 1 for j, a in enumerate(atoms)}
 
 
+def _row_index(support, assignment: dict[str, int], default: int) -> int:
+    idx = 0
+    for name in support:
+        idx = (idx << 1) | assignment.get(name, default)
+    return idx
+
+
 def class_value(c: PropClass, assignment: dict[str, int], default: int = 0) -> int:
     """Table lookup by hand, using only the PropClass data contract."""
-    idx = 0
-    for name in c.support:
-        idx = (idx << 1) | assignment.get(name, default)
-    return c.table[idx]
+    return c.table[_row_index(c.support, assignment, default)]
 
 
 def class_mask(c: PropClass, atoms: list[str], default: int = 0) -> int:
@@ -55,6 +59,27 @@ def class_mask(c: PropClass, atoms: list[str], default: int = 0) -> int:
 
 def mask_entails(lhs: int, rhs: int, rows: int) -> bool:
     return (lhs & ~rhs) & ((1 << rows) - 1) == 0
+
+
+def mask_depends(mask: int, atoms: list[str], name: str) -> bool:
+    """Whether flipping ``name`` changes the value of some row of ``mask``."""
+    stride = 1 << (len(atoms) - 1 - atoms.index(name))
+    return any(mask >> m & 1 != mask >> (m ^ stride) & 1 for m in range(1 << len(atoms)))
+
+
+def witness_oracle(base, default: int = 0) -> str | None:
+    """The witness text of the first assignment, in counting order over
+    the base atoms, satisfying every base class: a scan of all 2^n rows.
+    None when no assignment does."""
+    atoms = sorted({a for c in base for a in c.support})
+    tables = [(c, c.table) for c in base]
+    for assignment in all_assignments(atoms):
+        if all(
+            table[_row_index(c.support, assignment, default)] for c, table in tables
+        ):
+            pairs = " ".join(f"{a}={assignment[a]}" for a in atoms)
+            return f"{pairs} default={default}".strip()
+    return None
 
 
 def member_oracle(sp: SigmaPrime, c: PropClass) -> bool:

@@ -336,6 +336,108 @@ def test_cli_prefix_conjunction_above_atom_cap(capsys, tmp_path):
         )
 
 
+def test_cli_atom_cap_reaches_combines(capsys, tmp_path):
+    # the deduction above under --atom-cap 17: the prefix conjunction now
+    # fits, and the report is the subset-enumeration one ({6} is the
+    # first set in bitmask order whose conjunction reaches y)
+    ded = tmp_path / "wide.txt"
+    ded.write_text(
+        "~x01 & ~x02 & ~x03\n~x04 & ~x05 & ~x06\n~x07 & ~x08 & ~x09\n"
+        "~x10 & ~x11 & ~x12\n~x13 & ~x14 & ~x15\ny & z\ny\n"
+    )
+    sigma = tmp_path / "a.txt"
+    sigma.write_text("a\n")
+    argv = [str(ded), "--sigma", str(sigma), "--atom-cap", "17"]
+    code, out, err = run_cli(capsys, "check", *argv)
+    assert code == 0
+    assert err == "witness: a=1 default=0\n"
+    assert out.splitlines() == [
+        "step  clause  H             base",
+        *(f"{i}     a       -             -" for i in range(1, 6)),
+        "6     INVALID -             -",
+        "7     c       {6}           -",
+        "invalid at step 6",
+    ]
+    for command in ("interpret", "prove"):
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == "error: InvalidDeduction: step 6 is not justified"
+
+
+def test_cli_prove_atom_cap_reaches_validation(capsys, tmp_path):
+    # a valid deduction whose prefix 1..6 spans 17 atoms: the reading
+    # sets phi(7) = {1..6}, and build_proof re-validates that reading
+    # with the conjunction of all six steps
+    ded = tmp_path / "valid.txt"
+    ded.write_text(
+        "~x01 & ~x02 & ~x03\n~x04 & ~x05 & ~x06\n~x07 & ~x08 & ~x09\n"
+        "~x10 & ~x11 & ~x12\n~x13 & ~x14 & ~x15\n~y & ~z\n~y\n"
+    )
+    sigma = tmp_path / "a.txt"
+    sigma.write_text("a\n")
+    argv = [str(ded), "--sigma", str(sigma)]
+    code, out, err = run_cli(capsys, "prove", *argv)
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        "error: ResourceLimit: combined support of 17 atoms exceeds the cap of 16"
+    )
+    code, out, err = run_cli(capsys, "interpret", *argv, "--atom-cap", "17")
+    assert code == 0
+    assert out.splitlines() == [*(f"{u}: 0" for u in range(1, 7)), "7: {1,2,3,4,5,6}"]
+    code, out, err = run_cli(capsys, "prove", *argv, "--atom-cap", "17")
+    assert code == 0
+    assert err == "witness: a=1 default=0\n"
+    premises = [
+        "[x01,x02,x03;10000000]", "[x04,x05,x06;10000000]", "[x07,x08,x09;10000000]",
+        "[x10,x11,x12;10000000]", "[x13,x14,x15;10000000]", "[y,z;1000]",
+    ]
+    assert out == "format: 1\n{[y;10],{%s}}\n" % ",".join("{%s,{0}}" % p for p in premises)
+
+
+def test_cli_atom_cap_ceiling_is_a_usage_error(capsys, monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr("prooflab.files.canonicalize", no_tables)
+    for cap in ("25", "40", "-1"):
+        code, out, err = run_cli(capsys, "parse", "p", "--atom-cap", cap)
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--atom-cap" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "parse", "p", "--atom-cap", "24")
+    assert (code, out) == (0, "[p;01]\n")
+
+
+def test_cli_read_errors_are_domain_errors(capsys, tmp_path, ded_file, sigma_file):
+    code, out, err = run_cli(capsys, "check", str(tmp_path / "nosuch.txt"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: FileNotFoundError: ") and "nosuch.txt" in err
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes("caf\xe9\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "check", ded_file, "--sigma", str(latin))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: UnicodeDecodeError: ")
+    code, out, err = run_cli(
+        capsys, "prove", ded_file, "--sigma", sigma_file, "--output", str(tmp_path)
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("error: IsADirectoryError: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["rules", "axioms"])
+def test_cli_atoms_range(capsys, command, sigma_file):
+    sigma = ["--sigma", sigma_file, "--samples", "5"] if command == "axioms" else []
+    for atoms in ("0", "4", "-1"):
+        code, out, err = run_cli(capsys, command, *sigma, "--atoms", atoms)
+        assert (code, out) == (2, "")
+        assert "usage:" in err and "--atoms" in err
+    code, out, _ = run_cli(capsys, command, *sigma, "--atoms", "1")
+    assert code == 0 and out
+
+
 def test_cli_inconsistent_sigma(capsys, tmp_path, ded_file):
     bad = tmp_path / "bad.txt"
     bad.write_text("p\n~p\n")

@@ -1,10 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from prooflab import (
     CONTRADICTION,
+    And,
+    Atom,
+    Not,
+    Or,
     TAUTOLOGY,
     ParseError,
     PropClass,
@@ -25,7 +29,14 @@ from prooflab import (
     representative,
 )
 
-from _oracles import all_assignments, eval_bool, random_formula
+from _oracles import (
+    all_assignments,
+    class_mask,
+    eval_bool,
+    mask_depends,
+    mask_entails,
+    random_formula,
+)
 from test_formula import formulas
 
 
@@ -189,3 +200,63 @@ def test_atom_cap():
     assert canonicalize(parse(wide), atom_cap=17).support == tuple(
         sorted(f"a{i}" for i in range(17))
     )
+
+
+POOL = [f"v{i}" for i in range(8)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_table_ops_match_mask_oracle(seed):
+    # two formulas over random subsets of eight atoms, so their supports
+    # interleave in sorted order, each padded with up to three atoms it
+    # does not depend on; every result is compared as a truth table over
+    # all eight atoms
+    rng = random.Random(seed)  # uniform draws, so wide supports are common
+    full = (1 << 256) - 1
+    fs = []
+    for _ in range(2):
+        f = random_formula(rng, rng.sample(POOL, rng.randint(1, 6)), 4)
+        for x in rng.sample(POOL, rng.randint(0, 3)):
+            f = And(f, Or(Atom(x), Not(Atom(x))))
+        fs.append(f)
+    a, b = (canonicalize(f) for f in fs)
+    for f, c in zip(fs, (a, b)):
+        direct = sum(
+            1 << m for m, row in enumerate(all_assignments(POOL)) if eval_bool(f, row)
+        )
+        assert class_mask(c, POOL) == direct
+    ma, mb = class_mask(a, POOL), class_mask(b, POOL)
+    results = {
+        class_and(a, b): ma & mb,
+        class_or(a, b): ma | mb,
+        class_iff(a, b): full ^ ma ^ mb,
+        class_not(a): full ^ ma,
+    }
+    for c, mask in [(a, ma), (b, mb), *results.items()]:
+        assert class_mask(c, POOL) == mask
+        assert c.support == tuple(x for x in POOL if mask_depends(mask, POOL, x))
+        assert PropClass(c.support, c.table) == c
+        assert class_from_text(c.text()) == c
+    assert entails(a, b) == mask_entails(ma, mb, 256)
+    assert entails(b, a) == mask_entails(mb, ma, 256)
+
+
+def test_sixteen_atom_tables():
+    # no timing gate: a per-row walk takes about a second here, and a
+    # regression to it shows as a slow suite, not as a failure
+    atoms = [f"a{i:02d}" for i in range(16)]
+    f = parse(" | ".join(f"({x} & ~{y})" for x, y in zip(atoms[::2], atoms[1::2])))
+    c = canonicalize(f)
+    assert c.support == tuple(atoms)
+    table = c.table
+    rng = random.Random(16)
+    for _ in range(200):
+        row = {x: rng.randint(0, 1) for x in atoms}
+        assert table[int("".join(str(row[x]) for x in atoms), 2)] == eval_bool(f, row)
+    assert class_and(c, class_not(c)) == CONTRADICTION
+    assert entails(c, class_or(c, canonicalize(parse("a00"))))
+    assert not entails(TAUTOLOGY, c)
+    # entails compares over the shared atoms, so a 17-atom union is fine
+    assert not entails(c, canonicalize(parse("b")))
+    assert entails(CONTRADICTION, c)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prooflab import (
     CONTRADICTION,
@@ -23,7 +24,7 @@ from prooflab import (
     scalar_or,
 )
 
-from _oracles import member_oracle, random_formula
+from _oracles import class_value, member_oracle, random_formula, witness_oracle
 
 
 def cls(text):
@@ -89,6 +90,46 @@ def test_determinism():
     a = lindenbaum_extend(base, 0)
     b = lindenbaum_extend(base, 0)
     assert a == b
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 1))
+def test_extend_matches_witness_scan(seed, groups, default_bit):
+    # up to 12 atoms dealt into 1-4 groups whose names interleave in
+    # sorted order; each class draws its atoms from one group and holds
+    # at a hidden assignment, and a quarter of the bases also hold the
+    # negation of one of their classes, which makes them inconsistent
+    rng = random.Random(seed)  # uniform draws, so large bases are common
+    names = rng.sample([f"a{i:02d}" for i in range(12)], rng.randint(groups, 12))
+    hidden = {a: rng.randint(0, 1) for a in names}
+    base = set()
+    for k in range(groups):
+        group = names[k::groups]
+        for _ in range(rng.randint(1, 6)):
+            atoms = rng.sample(group, rng.randint(1, min(4, len(group))))
+            c = canonicalize(random_formula(rng, atoms))
+            base.add(c if class_value(c, hidden) else class_not(c))
+    if rng.random() < 0.25:
+        base.add(class_not(rng.choice(sorted(base, key=lambda c: c.text()))))
+    expected = witness_oracle(base, default_bit)
+    if expected is None:
+        with pytest.raises(Inconsistent):
+            lindenbaum_extend(base, default_bit)
+    else:
+        assert lindenbaum_extend(base, default_bit).witness_text() == expected
+
+
+def test_extend_thirty_atoms():
+    # a scan of all 2^30 rows would take hours; no timing gate
+    units = [cls(f"u{i:02d}") for i in range(30)]
+    assert dict(lindenbaum_extend(units).witness.assign) == {f"u{i:02d}": 1 for i in range(30)}
+    chain = [cls(f"~c{i:02d} | c{i + 1:02d}") for i in range(29)]
+    assert dict(lindenbaum_extend(chain, 1).witness.assign) == {f"c{i:02d}": 0 for i in range(30)}
+    # forcing the head of the chain forces every later atom
+    forced = lindenbaum_extend([*chain, cls("c00")])
+    assert dict(forced.witness.assign) == {f"c{i:02d}": 1 for i in range(30)}
+    with pytest.raises(Inconsistent):
+        lindenbaum_extend([*chain, cls("c00"), cls("~c29")])
 
 
 def test_ring_add_examples(sp_p):
