@@ -8,6 +8,7 @@ proofs over a maximal consistent extension of a finite base set.
 from .errors import (
     BadPath,
     Inconsistent,
+    InternalError,
     InvalidDeduction,
     InvalidInterpretation,
     NotFound,

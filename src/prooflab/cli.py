@@ -13,6 +13,7 @@ import argparse
 import os
 import random
 import sys
+from functools import lru_cache
 
 from .deduction import (
     DEFAULT_MAX_PRIOR,
@@ -67,7 +68,13 @@ def _atom_cap(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _build_parser(max_steps: str) -> argparse.ArgumentParser:
+    """The parser whose ``--max-steps`` default is ``max_steps``.
+
+    Built on the first ``run`` and kept while the default stays the
+    same: parsing keeps no state in the parser, and help text is laid
+    out when it is printed."""
     top = argparse.ArgumentParser(prog="prooflab")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -75,10 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma", required=required, help="base-set file")
         p.add_argument("--default-bit", type=int, choices=(0, 1), default=0)
         p.add_argument("--atom-cap", type=_atom_cap, default=DEFAULT_ATOM_CAP)
-
-    # a string default goes through the type, so a bad environment value
-    # is a usage error like a bad flag
-    max_steps = os.environ.get("PROOFLAB_MAX_STEPS") or str(DEFAULT_MAX_PRIOR)
 
     p = sub.add_parser("parse", help="canonicalize a formula")
     p.add_argument("formula")
@@ -165,7 +168,9 @@ def _emit_proof(args, r: ProofNode, pretty: bool = False) -> None:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    # read on every call; a string default goes through the type, so a
+    # bad environment value is a usage error like a bad flag
+    parser = _build_parser(os.environ.get("PROOFLAB_MAX_STEPS") or str(DEFAULT_MAX_PRIOR))
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

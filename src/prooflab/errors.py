@@ -53,3 +53,7 @@ class NotFound(ProofLabError):
 
 class PremiseDonor(ProofLabError):
     """The donor occurrence is a bare premise and carries no justification."""
+
+
+class InternalError(ProofLabError):
+    """An invariant the algebra guarantees failed: a fault in prooflab itself."""

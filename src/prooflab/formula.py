@@ -24,6 +24,11 @@ from .errors import ParseError
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
+# The deepest formula or proof the parsers accept, in levels of the
+# tree and in "(" and "~" open at once. It keeps every recursive walk
+# of a parsed tree far below the interpreter's recursion limit.
+MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -84,20 +89,39 @@ def evaluate(f: Formula, v: Valuation) -> int:
 
 def level(f: Formula) -> int:
     """Connective nesting depth: atoms sit at level 0."""
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return level(f.child) + 1
-    return max(level(f.left), level(f.right)) + 1
+    memo: dict[int, int] = {}
+
+    # ``<->`` shares its operands, so binary nodes are walked once each,
+    # keyed on identity: the dataclass hash would itself walk the tree
+    def walk(g: Formula) -> int:
+        if isinstance(g, Atom):
+            return 0
+        if isinstance(g, Not):
+            return walk(g.child) + 1
+        key = id(g)
+        if key not in memo:
+            memo[key] = max(walk(g.left), walk(g.right)) + 1
+        return memo[key]
+
+    return walk(f)
 
 
 def atoms_of(f: Formula) -> set[str]:
-    """All atom names occurring in ``f``."""
+    """All atom names occurring in ``f``; shared subtrees are visited once."""
+    names: set[str] = set()
+    _collect_atoms(f, names, set())
+    return names
+
+
+def _collect_atoms(f: Formula, names: set[str], seen: set[int]) -> None:
     if isinstance(f, Atom):
-        return {f.name}
-    if isinstance(f, Not):
-        return atoms_of(f.child)
-    return atoms_of(f.left) | atoms_of(f.right)
+        names.add(f.name)
+    elif isinstance(f, Not):
+        _collect_atoms(f.child, names, seen)
+    elif id(f) not in seen:
+        seen.add(id(f))
+        _collect_atoms(f.left, names, seen)
+        _collect_atoms(f.right, names, seen)
 
 
 # --- parsing -----------------------------------------------------------
@@ -123,10 +147,22 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     yield "eof", "", len(text)
 
 
+def _too_deep(pos: int) -> None:
+    raise ParseError(f"nested deeper than {MAX_DEPTH} levels", pos)
+
+
 class _Parser:
+    """Recursive descent; each grammar rule returns a node and its level.
+
+    Both the open ``(`` and ``~`` around the current token and the level
+    of every node built are held to ``MAX_DEPTH``: the first bounds the
+    parser's own recursion, the second every later walk of the tree
+    (a left fold ``p & p & ...`` is deep without any nesting)."""
+
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.i = 0
+        self.open = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -138,52 +174,70 @@ class _Parser:
         self.i += 1
         return tok
 
-    def formula(self) -> Formula:
-        node = self.disjunction()
+    def formula(self) -> tuple[Formula, int]:
+        node, depth = self.disjunction()
         while self.peek()[0] == "iff":
-            self.take("iff")
-            rhs = self.disjunction()
+            pos = self.take("iff")[2]
+            rhs, rdepth = self.disjunction()
             node = And(Or(Not(node), rhs), Or(Not(rhs), node))
-        return node
+            depth = max(depth, rdepth) + 3
+            if depth > MAX_DEPTH:
+                _too_deep(pos)
+        return node, depth
 
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
+    def disjunction(self) -> tuple[Formula, int]:
+        node, depth = self.conjunction()
         while self.peek()[0] == "or":
-            self.take("or")
-            node = Or(node, self.conjunction())
-        return node
+            pos = self.take("or")[2]
+            rhs, rdepth = self.conjunction()
+            node = Or(node, rhs)
+            depth = max(depth, rdepth) + 1
+            if depth > MAX_DEPTH:
+                _too_deep(pos)
+        return node, depth
 
-    def conjunction(self) -> Formula:
-        node = self.unary()
+    def conjunction(self) -> tuple[Formula, int]:
+        node, depth = self.unary()
         while self.peek()[0] == "and":
-            self.take("and")
-            node = And(node, self.unary())
-        return node
+            pos = self.take("and")[2]
+            rhs, rdepth = self.unary()
+            node = And(node, rhs)
+            depth = max(depth, rdepth) + 1
+            if depth > MAX_DEPTH:
+                _too_deep(pos)
+        return node, depth
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         kind, text, pos = self.peek()
-        if kind == "not":
-            self.take("not")
-            return Not(self.unary())
         if kind == "atom":
             self.take("atom")
-            return Atom(text)
-        if kind == "lpar":
-            self.take("lpar")
-            node = self.formula()
+            return Atom(text), 0
+        if kind not in ("not", "lpar"):
+            raise ParseError(f"expected a formula, found {text or 'end of input'!r}", pos)
+        self.take(kind)
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            _too_deep(pos)
+        if kind == "not":
+            child, depth = self.unary()
+            node, depth = Not(child), depth + 1
+            if depth > MAX_DEPTH:
+                _too_deep(pos)
+        else:
+            node, depth = self.formula()
             self.take("rpar")
-            return node
-        raise ParseError(f"expected a formula, found {text or 'end of input'!r}", pos)
+        self.open -= 1
+        return node, depth
 
 
 def parse(text: str) -> Formula:
     """Parse ``text`` into the unique AST fixed by the precedence rules.
 
     Raises :class:`ParseError` with the offending position on malformed
-    input.
+    input, and on input nested deeper than ``MAX_DEPTH``.
     """
     p = _Parser(text)
-    node = p.formula()
+    node = p.formula()[0]
     p.take("eof")
     return node
 

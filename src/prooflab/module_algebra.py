@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
+from .errors import InternalError
 from .propclass import (
     DEFAULT_ATOM_CAP,
     TAUTOLOGY,
@@ -42,15 +43,16 @@ from .proof import (
 from .sigma import FORMAL_ONE, ClassScalar, FormalOne, Scalar, SigmaPrime
 
 
-def _merge_with_case(
+def delta_merge(
     d1: Justification,
     d2: Justification,
     alpha: PropClass,
     z1: PropClass,
     z2: PropClass,
     atom_cap: int = DEFAULT_ATOM_CAP,
-) -> tuple[Justification, int]:
-    """Case-defined justification merge; returns (result, case index).
+) -> Justification:
+    """Merge two justifications for conclusions ``z1``, ``z2`` under the
+    combined conclusion ``alpha``.
 
     Cases are tried in definition order; overlapping guards resolve to
     the earliest case. The final case takes the symmetric difference of
@@ -58,30 +60,17 @@ def _merge_with_case(
     conclusions reaches both operand conclusions.
     """
     if d1 == d2:
-        if is_tautology(alpha):
-            return None, 1
-        return d1, 2
+        return None if is_tautology(alpha) else d1
     if d1 is None:
-        return d2, 3
+        return d2
     if d2 is None:
-        return d1, 3
+        return d1
     diff = d1 ^ d2
-    assert diff, "distinct child sets cannot have an empty symmetric difference"
+    if not diff:
+        raise InternalError("distinct child sets have an empty symmetric difference")
     if entails(big_and((c.conclusion for c in diff), atom_cap), class_and(z1, z2, atom_cap)):
-        return frozenset(diff), 4
-    return None, 4
-
-
-def delta_merge(
-    d1: Justification,
-    d2: Justification,
-    alpha: PropClass,
-    z1: PropClass,
-    z2: PropClass,
-) -> Justification:
-    """Merge two justifications for conclusions ``z1``, ``z2`` under the
-    combined conclusion ``alpha``."""
-    return _merge_with_case(d1, d2, alpha, z1, z2)[0]
+        return frozenset(diff)
+    return None
 
 
 def add(
@@ -92,13 +81,11 @@ def add(
     sp.require_member(r2.conclusion)
     z1, z2 = r1.conclusion, r2.conclusion
     alpha = class_iff(z1, z2, atom_cap)
-    merged, case = _merge_with_case(r1.children, r2.children, alpha, z1, z2, atom_cap)
-    if case == 4 and merged is not None:
-        # well-definedness chain: the kept set reaches z1 & z2, which
-        # reaches the biconditional conclusion
-        combined = big_and((c.conclusion for c in merged), atom_cap)
-        assert entails(combined, class_and(z1, z2, atom_cap))
-        assert entails(class_and(z1, z2, atom_cap), alpha)
+    # well-definedness chain: a merged set is kept only when it reaches
+    # z1 & z2, which must reach the biconditional conclusion
+    if not entails(class_and(z1, z2, atom_cap), alpha):
+        raise InternalError(f"{z1.text()} & {z2.text()} does not entail {alpha.text()}")
+    merged = delta_merge(r1.children, r2.children, alpha, z1, z2, atom_cap)
     return normalize(ProofNode(alpha, merged))
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import InvalidInterpretation, ParseError
-from .formula import render
+from .formula import MAX_DEPTH, render
 from .propclass import (
     CONTRADICTION,
     DEFAULT_ATOM_CAP,
@@ -150,16 +150,19 @@ def less_forced(a: ProofNode, b: ProofNode) -> bool:
 
 
 def parse_proof(text: str) -> ProofNode:
-    """Inverse of :func:`canonical_serialize`."""
-    node, end = _parse_node(text, 0)
+    """Inverse of :func:`canonical_serialize`; trees deeper than
+    ``MAX_DEPTH`` levels raise :class:`ParseError`."""
+    node, end = _parse_node(text, 0, 0)
     if text[end:].strip():
         raise ParseError("trailing data after proof", end)
     return node
 
 
-def _parse_node(text: str, i: int) -> tuple[ProofNode, int]:
+def _parse_node(text: str, i: int, depth: int) -> tuple[ProofNode, int]:
     if i >= len(text) or text[i] != "{":
         raise ParseError("expected '{'", i)
+    if depth > MAX_DEPTH:
+        raise ParseError(f"nested deeper than {MAX_DEPTH} levels", i)
     i += 1
     if i >= len(text) or text[i] != "[":
         raise ParseError("expected a class text '['", i)
@@ -178,7 +181,7 @@ def _parse_node(text: str, i: int) -> tuple[ProofNode, int]:
         i += 1
         kids = []
         while True:
-            child, i = _parse_node(text, i)
+            child, i = _parse_node(text, i, depth + 1)
             kids.append(child)
             if text[i : i + 1] == ",":
                 i += 1

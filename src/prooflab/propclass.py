@@ -164,16 +164,24 @@ def _pruned(atoms: Sequence[str], t: int) -> PropClass:
     return _make(tuple(a for j, a in enumerate(atoms) if j not in dropped), t)
 
 
-def _eval_columns(f: Formula, column: dict[str, int], full: int) -> int:
+def _eval_columns(f: Formula, masks: dict, full: int) -> int:
+    """The table of ``f``. ``masks`` maps each atom name to its column,
+    and gains the table of each binary node under the node's ``id``, so
+    a subtree that ``<->`` shares is evaluated once."""
     if isinstance(f, Atom):
-        return column[f.name]
+        return masks[f.name]
     if isinstance(f, Not):
-        return full ^ _eval_columns(f.child, column, full)
-    if isinstance(f, And):
-        return _eval_columns(f.left, column, full) & _eval_columns(f.right, column, full)
-    if isinstance(f, Or):
-        return _eval_columns(f.left, column, full) | _eval_columns(f.right, column, full)
-    raise TypeError(f"not a formula: {f!r}")
+        return full ^ _eval_columns(f.child, masks, full)
+    t = masks.get(id(f))
+    if t is None:
+        if isinstance(f, And):
+            t = _eval_columns(f.left, masks, full) & _eval_columns(f.right, masks, full)
+        elif isinstance(f, Or):
+            t = _eval_columns(f.left, masks, full) | _eval_columns(f.right, masks, full)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        masks[id(f)] = t
+    return t
 
 
 def canonicalize(f: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:

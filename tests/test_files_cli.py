@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import prooflab
 from prooflab import ParseError, ProofNode, canonicalize, parse, proof_eq
-from prooflab.cli import run
+from prooflab.cli import _build_parser, run
 from prooflab.files import (
     proof_file_text,
     read_deduction_file,
@@ -10,6 +16,9 @@ from prooflab.files import (
     read_sigma_file,
     write_proof_file,
 )
+from prooflab.formula import MAX_DEPTH
+
+from test_proof import nested_proof_text
 
 
 def cls(text):
@@ -71,6 +80,18 @@ def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """``python -m prooflab.cli`` in a fresh interpreter, in this environment."""
+    src = str(Path(prooflab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "prooflab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_cli_parse(capsys):
@@ -291,14 +312,20 @@ def test_cli_env_max_steps(capsys, tmp_path, sigma_file, monkeypatch):
     )
     assert code == 1
     assert "error: ResourceLimit:" in err
-    monkeypatch.setenv("PROOFLAB_MAX_STEPS", "5")
-    code, _, err = run_cli(capsys, "check", str(ded), "--sigma", sigma_file)
-    assert code == 1
-    assert "error: ResourceLimit:" in err
-    monkeypatch.delenv("PROOFLAB_MAX_STEPS")
-    code, out, _ = run_cli(capsys, "check", str(ded), "--sigma", sigma_file)
-    assert code == 0
-    assert out.strip().endswith("invalid at step 7")
+    # read on every call: set, changed and unset within one process
+    for value, code in [("5", 1), ("6", 0), ("abc", 2), ("5", 1), ("", 0), (None, 0)]:
+        if value is None:
+            monkeypatch.delenv("PROOFLAB_MAX_STEPS")
+        else:
+            monkeypatch.setenv("PROOFLAB_MAX_STEPS", value)
+        got, out, err = run_cli(capsys, "check", str(ded), "--sigma", sigma_file)
+        assert got == code, value
+        if code == 0:
+            assert out.strip().endswith("invalid at step 7")
+        elif code == 1:
+            assert "error: ResourceLimit:" in err
+        else:
+            assert "usage:" in err and "non-negative integer" in err
 
 
 @pytest.mark.parametrize("command", ["check", "interpret", "prove"])
@@ -444,3 +471,89 @@ def test_cli_inconsistent_sigma(capsys, tmp_path, ded_file):
     code, _, err = run_cli(capsys, "check", ded_file, "--sigma", str(bad))
     assert code == 1
     assert "error: Inconsistent:" in err
+
+
+def test_cli_builds_parser_once(capsys, monkeypatch):
+    monkeypatch.delenv("PROOFLAB_MAX_STEPS", raising=False)
+    _build_parser.cache_clear()
+    for argv in [["parse", "p"], ["rules", "--atoms", "1"], ["parse", "p &"], ["nope"]] * 3:
+        run_cli(capsys, *argv)
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 11)
+
+
+HELP_AND_USAGE = [
+    ["--help"],
+    ["check", "--help"],
+    ["parse"],
+    ["nope"],
+    ["parse", "p", "--atom-cap", "25"],
+    ["check", "d.txt", "--max-steps", "-1"],
+]
+
+
+def test_cli_help_and_usage_bytes_repeat(capsys, monkeypatch):
+    monkeypatch.delenv("PROOFLAB_MAX_STEPS", raising=False)
+    monkeypatch.setenv("COLUMNS", "72")
+    _build_parser.cache_clear()
+    first = [run_cli(capsys, *argv) for argv in HELP_AND_USAGE]
+    assert [code for code, _, _ in first] == [0, 0, 2, 2, 2, 2]
+    run_cli(capsys, "parse", "p")
+    assert [run_cli(capsys, *argv) for argv in HELP_AND_USAGE] == first
+    assert [run_process(*argv) for argv in HELP_AND_USAGE] == first
+    # the width is read when the text is printed, not when the parser is built
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = run_cli(capsys, "check", "--help")
+    assert narrow != first[1]
+    assert narrow == run_process("check", "--help")
+
+
+DEEP_INPUTS = {
+    "negations": ["parse", "~" * 3000 + "p"],
+    "parentheses": ["parse", "(" * 1200 + "p" + ")" * 1200],
+    "flat conjunction": ["parse", " & ".join(["p"] * 1500)],
+    "proof": ["eq", "@deep.proof", "@deep.proof"],
+}
+
+
+@pytest.mark.parametrize("kind", DEEP_INPUTS)
+def test_cli_deep_input_is_a_parse_error(tmp_path, kind):
+    (tmp_path / "deep.proof").write_text("format: 1\n" + nested_proof_text(1500) + "\n")
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in DEEP_INPUTS[kind]]
+    code, out, err = run_process(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: ParseError: nested deeper than {MAX_DEPTH} levels (at ")
+    assert "Traceback" not in err
+
+
+def test_cli_commands_at_the_depth_limit(capsys, tmp_path, sigma_file):
+    deep = tmp_path / "deep.proof"
+    text = nested_proof_text(MAX_DEPTH)
+    deep.write_text(f"format: 1\n{text}\n")
+    base = tmp_path / "base.txt"
+    base.write_text(" & ".join(["p"] * (MAX_DEPTH + 1)) + "\n" + "~" * MAX_DEPTH + "q\n")
+    ded = tmp_path / "ded.txt"
+    ded.write_text("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH + "\n")
+    sigma = ["--sigma", str(base)]
+    for argv, expected in [
+        (["eq", str(deep), str(deep)], "equal "),
+        (["smul", "p", str(deep), *sigma], f"format: 1\n{text}\n"),
+        (["add", str(deep), str(deep), *sigma], "format: 1\n{[;1],{0}}\n"),
+        (["eliminate", "--target", str(deep), "--sigma-class", "p"], "format: 1\n"),
+        (["check", str(ded), *sigma], "step  clause  H             base\n1     a"),
+    ]:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith(expected), argv[0]
+
+
+def test_cli_iff_chain_of_twenty_atoms(capsys):
+    # no timing gate: a tree walk of this chain makes about 2**20
+    # operations on 2**20-bit tables, about a minute on a 2-vCPU VM
+    names = [f"x{i:02d}" for i in range(20)]
+    chain = " <-> ".join(names)
+    code, out, err = run_cli(capsys, "parse", chain, "--atom-cap", "20")
+    # a <-> b is a ^ b ^ 1, so the chain of 19 is 1 on rows with an even number of 1s
+    table = "".join("10"[bin(m).count("1") % 2] for m in range(1 << 20))
+    assert (code, out, err) == (0, f"[{','.join(names)};{table}]\n", "")
+    code, out, err = run_cli(capsys, "parse", chain)
+    assert (code, out, err) == (1, "", "error: ResourceLimit: 20 atoms exceed the support cap of 16\n")

@@ -1,7 +1,21 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from prooflab import And, Atom, Not, Or, ParseError, Valuation, evaluate, level, parse, render
+from prooflab import (
+    And,
+    Atom,
+    Not,
+    Or,
+    ParseError,
+    Valuation,
+    atoms_of,
+    canonicalize,
+    evaluate,
+    level,
+    parse,
+    render,
+)
+from prooflab.formula import MAX_DEPTH
 
 from _oracles import all_assignments, eval_bool
 
@@ -41,6 +55,37 @@ def test_parse_errors_carry_position(text, pos):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.position == pos
+
+
+def test_parse_depth_limit():
+    deep = MAX_DEPTH + 1
+    # at the limit: open "~" and "(", and the level of a left fold
+    assert level(parse("~" * MAX_DEPTH + "p")) == MAX_DEPTH
+    assert parse("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH) == p
+    assert level(parse(" & ".join(["p"] * deep))) == MAX_DEPTH
+    # one past it, the error points at the token that goes too deep
+    for text, pos in [
+        ("~" * deep + "p", MAX_DEPTH),
+        ("(" * deep + "p" + ")" * deep, MAX_DEPTH),
+        ("~(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH, MAX_DEPTH),
+        (" & ".join(["p"] * (deep + 1)), 4 * deep - 2),
+        ("~(" + " | ".join(["p"] * deep) + ")", 0),
+        (" <-> ".join(["p"] * 35), 6 * 34 - 4),
+    ]:
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as exc:
+            parse(text)
+        assert exc.value.position == pos, text[:12]
+
+
+def test_iff_chain_walks_each_shared_subtree_once():
+    # every <-> shares both operands, so a tree walk of this 30-atom
+    # chain would visit about 2**30 nodes
+    names = [f"x{i:02d}" for i in range(30)]
+    f = parse(" <-> ".join(names))
+    assert atoms_of(f) == set(names)
+    assert level(f) == 3 * 29
+    # two atoms keep the tables small; a tree walk still visits about 2**33 nodes
+    assert canonicalize(parse(" <-> ".join(["p", "q"] * 17))).text() == "[p,q;1001]"
 
 
 def test_render_examples():

@@ -5,6 +5,7 @@ import pytest
 from prooflab import (
     FORMAL_ONE,
     ClassScalar,
+    InternalError,
     NotMember,
     ProofNode,
     TAUTOLOGY,
@@ -89,6 +90,14 @@ def test_delta_merge_symmetry(sp):
         left = delta_merge(r1.children, r2.children, alpha, r1.conclusion, r2.conclusion)
         right = delta_merge(r2.children, r1.children, alpha, r2.conclusion, r1.conclusion)
         assert left == right
+
+
+def test_add_checks_its_invariants(sp, monkeypatch):
+    # an entails that answers every question wrongly; the check is a
+    # raise, so python -O does not strip it
+    monkeypatch.setattr("prooflab.module_algebra.entails", lambda a, b: not entails(a, b))
+    with pytest.raises(InternalError, match=r"\[q;01\] & \[s;01\] does not entail"):
+        add(node("q", node("p")), node("s", node("r")), sp)
 
 
 def test_sum_of_two_premises(sp):

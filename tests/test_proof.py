@@ -26,6 +26,8 @@ from prooflab import (
     proof_eq,
 )
 
+from prooflab.formula import MAX_DEPTH
+
 from _oracles import random_proof, random_valid_deduction
 
 
@@ -232,6 +234,23 @@ def test_parse_proof_round_trip():
 def test_parse_proof_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_proof(bad)
+
+
+def nested_proof_text(depth):
+    """A chain of ``depth`` justified ``p`` nodes above one premise."""
+    text = "{[p;01],{0}}"
+    for _ in range(depth):
+        text = "{[p;01],{%s}}" % text
+    return text
+
+
+def test_parse_proof_depth_limit():
+    text = nested_proof_text(MAX_DEPTH)
+    assert canonical_serialize(normalize(parse_proof(text))) == text
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as exc:
+        parse_proof(nested_proof_text(MAX_DEPTH + 1))
+    # at the premise's "{", below MAX_DEPTH + 1 wrappers "{[p;01],{"
+    assert exc.value.position == 9 * (MAX_DEPTH + 1)
 
 
 def test_digest_hex_stable():
