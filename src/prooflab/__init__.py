@@ -28,6 +28,7 @@ from .propclass import (
     big_and,
     big_or,
     canonicalize,
+    canonicalize_text,
     class_and,
     class_from_text,
     class_iff,

@@ -13,8 +13,7 @@ from __future__ import annotations
 import os
 
 from .errors import ParseError
-from .formula import parse
-from .propclass import DEFAULT_ATOM_CAP, PropClass, canonicalize
+from .propclass import DEFAULT_ATOM_CAP, PropClass, canonicalize_text
 from .proof import ProofNode, canonical_serialize, parse_proof
 
 PROOF_FORMAT_LINE = "format: 1"
@@ -30,9 +29,7 @@ def _content_lines(text: str) -> list[str]:
 
 
 def read_sigma_text(text: str, atom_cap: int = DEFAULT_ATOM_CAP) -> frozenset[PropClass]:
-    return frozenset(
-        canonicalize(parse(line), atom_cap) for line in _content_lines(text)
-    )
+    return frozenset(canonicalize_text(line, atom_cap) for line in _content_lines(text))
 
 
 def read_sigma_file(path: str, atom_cap: int = DEFAULT_ATOM_CAP) -> frozenset[PropClass]:
@@ -53,7 +50,7 @@ def read_deduction_file(
         lines = lines[1:]
     if not lines:
         raise ParseError(f"deduction file {path!r} has no steps")
-    steps = [canonicalize(parse(line), atom_cap) for line in lines]
+    steps = [canonicalize_text(line, atom_cap) for line in lines]
     return steps, premises_path
 
 
@@ -80,4 +77,4 @@ def read_proof_file(path: str) -> ProofNode:
 
 
 def read_formula_arg(text: str, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
-    return canonicalize(parse(text), atom_cap)
+    return canonicalize_text(text, atom_cap)

@@ -12,13 +12,17 @@ Grammar (whitespace insignificant)::
 ``<->`` is parser sugar only: ``a <-> b`` desugars to
 ``(~a | b) & (~b | a)``, so the AST carries exactly the three
 connectives ~, &, |.  Binary operators associate to the left.
+
+The one grammar builds into any algebra (:meth:`Scanned.build`):
+:func:`parse` builds the AST, and ``propclass.canonicalize_text``
+builds truth tables with no tree in between.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import ParseError
 
@@ -126,108 +130,158 @@ def _collect_atoms(f: Formula, names: set[str], seen: set[int]) -> None:
 
 # --- parsing -----------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<atom>[a-z][a-z0-9_]*)|(?P<iff><->)|(?P<not>~)|(?P<and>&)"
-    r"|(?P<or>\|)|(?P<lpar>\()|(?P<rpar>\)))"
-)
+# one token per match; a character that starts no token comes out as a
+# one-character token outside _ONE_CHAR_TOKENS
+_TOKEN_RE = re.compile(r"\s*([a-z][a-z0-9_]*|<->|[~&|()]|\S)")
+_ONE_CHAR_TOKENS = frozenset("abcdefghijklmnopqrstuvwxyz~&|()")
+# the tokens that are not atoms; "" marks the end of input
+_SYMBOLS = frozenset(("<->", "~", "&", "|", "(", ")", ""))
+# how error messages name the tokens the grammar requires
+_KIND = {")": "rpar", "": "eof"}
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
-        yield m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)
-        pos = m.end()
-    yield "eof", "", len(text)
+def _is_stray(token: str) -> bool:
+    return len(token) == 1 and token not in _ONE_CHAR_TOKENS
 
 
-def _too_deep(pos: int) -> None:
-    raise ParseError(f"nested deeper than {MAX_DEPTH} levels", pos)
+class Scanned:
+    """A formula text cut into tokens, ready to be built into any algebra.
+
+    Cutting the text first gives the atoms before any node is built, so
+    a caller can size what each atom maps to. A character that starts
+    no token raises :class:`ParseError` here, before any grammar error.
+    """
+
+    __slots__ = ("text", "tokens", "distinct")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        self.distinct = set(self.tokens)
+        if any(_is_stray(t) for t in self.distinct):
+            k = next(k for k, t in enumerate(self.tokens) if _is_stray(t))
+            raise ParseError(f"unexpected character {self.tokens[k]!r}", self.position(k))
+        self.tokens.append("")
+
+    def atoms(self) -> list[str]:
+        """The atom names in the text, sorted."""
+        return sorted(self.distinct.difference(_SYMBOLS))
+
+    def build(self, atom, neg, conj, disj, iff):
+        """The value of the formula in the algebra given by one function
+        per token: ``atom(name)``, ``neg(x)``, ``conj(x, y)``,
+        ``disj(x, y)`` and ``iff(x, y)``.
+
+        Raises :class:`ParseError` on malformed input and on input
+        nested deeper than ``MAX_DEPTH``.
+        """
+        return _Descent(self, atom, neg, conj, disj, iff).run()
+
+    def position(self, k: int) -> int:
+        """Where the k-th token starts; the end of input is one past the
+        last."""
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        return (starts + [len(self.text)])[k]
 
 
-class _Parser:
-    """Recursive descent; each grammar rule returns a node and its level.
+class _Descent:
+    """Recursive descent; each grammar rule returns a value and its level.
 
     Both the open ``(`` and ``~`` around the current token and the level
     of every node built are held to ``MAX_DEPTH``: the first bounds the
     parser's own recursion, the second every later walk of the tree
-    (a left fold ``p & p & ...`` is deep without any nesting)."""
+    (a left fold ``p & p & ...`` is deep without any nesting). ``<->``
+    counts three levels, those of its desugared form."""
 
-    def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+    def __init__(self, scanned: Scanned, atom, neg, conj, disj, iff):
+        self.scanned = scanned
+        self.tokens = scanned.tokens
         self.i = 0
         self.open = 0
+        self.atom, self.neg, self.conj, self.disj, self.iff = atom, neg, conj, disj, iff
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
+    def run(self):
+        value = self.formula()[0]
+        self.take("")
+        return value
 
-    def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
+    def fail(self, message: str, k: int):
+        raise ParseError(message, self.scanned.position(k))
+
+    def too_deep(self, k: int):
+        self.fail(f"nested deeper than {MAX_DEPTH} levels", k)
+
+    def take(self, token: str) -> None:
+        found = self.tokens[self.i]
+        if found != token:
+            self.fail(f"expected {_KIND[token]}, found {found or 'end of input'!r}", self.i)
         self.i += 1
-        return tok
 
-    def formula(self) -> tuple[Formula, int]:
-        node, depth = self.disjunction()
-        while self.peek()[0] == "iff":
-            pos = self.take("iff")[2]
+    def formula(self):
+        value, depth = self.disjunction()
+        tokens = self.tokens
+        while tokens[self.i] == "<->":
+            k = self.i
+            self.i += 1
             rhs, rdepth = self.disjunction()
-            node = And(Or(Not(node), rhs), Or(Not(rhs), node))
+            value = self.iff(value, rhs)
             depth = max(depth, rdepth) + 3
             if depth > MAX_DEPTH:
-                _too_deep(pos)
-        return node, depth
+                self.too_deep(k)
+        return value, depth
 
-    def disjunction(self) -> tuple[Formula, int]:
-        node, depth = self.conjunction()
-        while self.peek()[0] == "or":
-            pos = self.take("or")[2]
+    def disjunction(self):
+        value, depth = self.conjunction()
+        tokens = self.tokens
+        while tokens[self.i] == "|":
+            k = self.i
+            self.i += 1
             rhs, rdepth = self.conjunction()
-            node = Or(node, rhs)
+            value = self.disj(value, rhs)
             depth = max(depth, rdepth) + 1
             if depth > MAX_DEPTH:
-                _too_deep(pos)
-        return node, depth
+                self.too_deep(k)
+        return value, depth
 
-    def conjunction(self) -> tuple[Formula, int]:
-        node, depth = self.unary()
-        while self.peek()[0] == "and":
-            pos = self.take("and")[2]
+    def conjunction(self):
+        value, depth = self.unary()
+        tokens = self.tokens
+        while tokens[self.i] == "&":
+            k = self.i
+            self.i += 1
             rhs, rdepth = self.unary()
-            node = And(node, rhs)
+            value = self.conj(value, rhs)
             depth = max(depth, rdepth) + 1
             if depth > MAX_DEPTH:
-                _too_deep(pos)
-        return node, depth
+                self.too_deep(k)
+        return value, depth
 
-    def unary(self) -> tuple[Formula, int]:
-        kind, text, pos = self.peek()
-        if kind == "atom":
-            self.take("atom")
-            return Atom(text), 0
-        if kind not in ("not", "lpar"):
-            raise ParseError(f"expected a formula, found {text or 'end of input'!r}", pos)
-        self.take(kind)
+    def unary(self):
+        k = self.i
+        token = self.tokens[k]
+        if token not in _SYMBOLS:
+            self.i = k + 1
+            return self.atom(token), 0
+        if token != "~" and token != "(":
+            self.fail(f"expected a formula, found {token or 'end of input'!r}", k)
+        self.i = k + 1
         self.open += 1
         if self.open > MAX_DEPTH:
-            _too_deep(pos)
-        if kind == "not":
+            self.too_deep(k)
+        if token == "~":
             child, depth = self.unary()
-            node, depth = Not(child), depth + 1
+            value, depth = self.neg(child), depth + 1
             if depth > MAX_DEPTH:
-                _too_deep(pos)
+                self.too_deep(k)
         else:
-            node, depth = self.formula()
-            self.take("rpar")
+            value, depth = self.formula()
+            self.take(")")
         self.open -= 1
-        return node, depth
+        return value, depth
+
+
+def _iff_node(a: Formula, b: Formula) -> Formula:
+    return And(Or(Not(a), b), Or(Not(b), a))
 
 
 def parse(text: str) -> Formula:
@@ -236,10 +290,7 @@ def parse(text: str) -> Formula:
     Raises :class:`ParseError` with the offending position on malformed
     input, and on input nested deeper than ``MAX_DEPTH``.
     """
-    p = _Parser(text)
-    node = p.formula()[0]
-    p.take("eof")
-    return node
+    return Scanned(text).build(Atom, Not, And, Or, _iff_node)
 
 
 # --- printing ----------------------------------------------------------

@@ -20,14 +20,13 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import InvalidInterpretation, ParseError
-from .formula import MAX_DEPTH, render
+from .formula import MAX_DEPTH
 from .propclass import (
     CONTRADICTION,
     DEFAULT_ATOM_CAP,
     PropClass,
     class_from_text,
     is_tautology,
-    representative,
 )
 from .deduction import Deduction, Interpretation, validate_interpretation
 
@@ -202,10 +201,19 @@ def _parse_node(text: str, i: int, depth: int) -> tuple[ProofNode, int]:
 
 
 def pretty_class(c: PropClass) -> str:
-    """Full-DNF rendering of a conclusion; constants print as 1 and 0."""
+    """Full-DNF rendering of a conclusion; constants print as 1 and 0.
+
+    The text is ``render(representative(c))``, joined minterm by minterm
+    rather than walked down the fold of one ``|`` per minterm."""
     if not c.support:
         return "1" if c != CONTRADICTION else "0"
-    return render(representative(c))
+    n = len(c.support)
+    literals = [(f"~{name}", name) for name in c.support]
+    return " | ".join(
+        " & ".join(lit[m >> (n - 1 - j) & 1] for j, lit in enumerate(literals))
+        for m in range(1 << n)
+        if c.bits >> m & 1
+    )
 
 
 def pretty_proof(r: ProofNode) -> str:

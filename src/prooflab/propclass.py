@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
+from operator import and_, or_, xor
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ResourceLimit
-from .formula import ATOM_RE, And, Atom, Formula, Not, Or, Valuation, atoms_of
+from .formula import ATOM_RE, And, Atom, Formula, Not, Or, Scanned, Valuation, atoms_of
 
 DEFAULT_ATOM_CAP = 16
 MAX_ATOM_CAP = 24
@@ -44,21 +45,11 @@ class PropClass:
     bits: int
 
     def __init__(self, support: tuple[str, ...], table: tuple[int, ...]):
-        if list(support) != sorted(set(support)):
-            raise ValueError("support must be sorted and duplicate-free")
-        for name in support:
-            if ATOM_RE.fullmatch(name) is None:
-                raise ValueError(f"invalid atom name {name!r}")
-        n = len(support)
-        if len(table) != 1 << n:
-            raise ValueError("table length must be 2**len(support)")
+        _check_shape(support, len(table))
         if any(b not in (0, 1) for b in table):
             raise ValueError("table entries must be bits")
         bits = sum(1 << m for m, b in enumerate(table) if b)
-        cols = _columns(n)
-        for j in range(n):
-            if not _essential(bits, cols, n - 1 - j):
-                raise ValueError(f"support atom {support[j]!r} is not essential")
+        _check_essential(support, bits)
         object.__setattr__(self, "support", tuple(support))
         object.__setattr__(self, "bits", bits)
 
@@ -77,6 +68,24 @@ class PropClass:
 
     def __repr__(self) -> str:
         return f"PropClass(support={self.support!r}, table={self.table!r})"
+
+
+def _check_shape(support: Sequence[str], rows: int) -> None:
+    if list(support) != sorted(set(support)):
+        raise ValueError("support must be sorted and duplicate-free")
+    for name in support:
+        if ATOM_RE.fullmatch(name) is None:
+            raise ValueError(f"invalid atom name {name!r}")
+    if rows != 1 << len(support):
+        raise ValueError("table length must be 2**len(support)")
+
+
+def _check_essential(support: Sequence[str], bits: int) -> None:
+    n = len(support)
+    cols = _columns(n)
+    for j in range(n):
+        if not _essential(bits, cols, n - 1 - j):
+            raise ValueError(f"support atom {support[j]!r} is not essential")
 
 
 def _make(support: tuple[str, ...], bits: int) -> PropClass:
@@ -195,6 +204,29 @@ def canonicalize(f: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
     return _pruned(atoms, _eval_columns(f, column, (1 << (1 << n)) - 1))
 
 
+def canonicalize_text(text: str, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
+    """``canonicalize(parse(text), atom_cap)``, built straight from the
+    text: the grammar evaluates each connective on the atoms' columns,
+    with no tree in between.
+
+    Malformed input raises :class:`ParseError` before an atom count over
+    the cap raises :class:`ResourceLimit`: input over the cap still runs
+    through the grammar, with every table 0.
+    """
+    scanned = Scanned(text)
+    atoms = scanned.atoms()
+    n = len(atoms)
+    if n > atom_cap:
+        scanned.build(dict.fromkeys(atoms, 0).__getitem__, (0).__xor__, and_, or_, xor)
+        raise ResourceLimit(f"{n} atoms exceed the support cap of {atom_cap}")
+    full = (1 << (1 << n)) - 1
+    column = dict(zip(atoms, reversed(_columns(n))))
+    t = scanned.build(
+        column.__getitem__, full.__xor__, and_, or_, lambda a, b: full ^ a ^ b
+    )
+    return _pruned(atoms, t)
+
+
 def evaluate_class(c: PropClass, v: Valuation) -> int:
     """Table lookup of ``c`` at the assignment ``v`` restricted to its support."""
     idx = 0
@@ -294,18 +326,26 @@ def all_classes(atoms: Sequence[str]) -> list[PropClass]:
     ]
 
 
+@lru_cache(maxsize=1 << 16)
 def class_from_text(text: str) -> PropClass:
-    """Inverse of :meth:`PropClass.text`; validates every invariant."""
+    """Inverse of :meth:`PropClass.text`; validates every invariant, in
+    the order and with the messages of the ``PropClass`` constructor.
+
+    Memoized: the class texts of a proof file repeat, and only a text
+    that decodes is kept."""
     if not (text.startswith("[") and text.endswith("]")) or ";" not in text:
         raise ParseError(f"malformed class text {text!r}")
     head, _, bits = text[1:-1].partition(";")
     support = tuple(head.split(",")) if head else ()
-    if any(ch not in "01" for ch in bits) or not bits:
+    if bits.strip("01") or not bits:
         raise ParseError(f"malformed class table in {text!r}")
     try:
-        return PropClass(support, tuple(int(ch) for ch in bits))
+        _check_shape(support, len(bits))
+        t = int(bits[::-1], 2)  # the text lists row 0 first
+        _check_essential(support, t)
     except ValueError as exc:
         raise ParseError(f"non-canonical class text {text!r}: {exc}") from None
+    return _make(support, t)
 
 
 def representative(c: PropClass) -> Formula:

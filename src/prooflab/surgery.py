@@ -127,6 +127,8 @@ def eliminate_subproof(
 
 
 def _require_members(r: ProofNode, sp: SigmaPrime) -> None:
+    """Raise on the first non-member conclusion in canonical pre-order,
+    so the class named does not depend on set iteration order."""
     sp.require_member(r.conclusion)
-    for c in r.children or ():
+    for c in sorted_children(r):
         _require_members(c, sp)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,16 @@ from pathlib import Path
 import pytest
 
 import prooflab
-from prooflab import ParseError, ProofNode, canonicalize, parse, proof_eq
+from prooflab import (
+    ParseError,
+    ProofNode,
+    canonical_serialize,
+    canonicalize,
+    class_from_text,
+    lindenbaum_extend,
+    parse,
+    proof_eq,
+)
 from prooflab.cli import _build_parser, run
 from prooflab.files import (
     proof_file_text,
@@ -82,14 +92,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
-    """``python -m prooflab.cli`` in a fresh interpreter, in this environment."""
+def run_process(*argv, env=None):
+    """``python -m prooflab.cli`` in a fresh interpreter, in this
+    environment plus ``env``."""
     src = str(Path(prooflab.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "prooflab.cli", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, **(env or {}), "PYTHONPATH": src},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -104,6 +115,17 @@ def test_cli_parse(capsys):
     assert code == 0
     assert out == "~p & q | p & ~q\n"
 
+
+
+def test_cli_pretty_dnf_of_ten_atoms(capsys):
+    # 1,023 minterms: no recursion depth grows with the minterm count
+    names = [f"x{i}" for i in range(10)]
+    code, out, err = run_cli(capsys, "parse", " | ".join(names), "--format", "pretty")
+    assert (code, err) == (0, "")
+    minterms = out.rstrip("\n").split(" | ")
+    assert len(minterms) == 1023
+    assert minterms[0] == " & ".join(f"~{n}" for n in names[:-1]) + " & x9"
+    assert minterms[-1] == " & ".join(names)
 
 def test_cli_parse_error(capsys):
     code, out, err = run_cli(capsys, "parse", "p &")
@@ -265,11 +287,33 @@ def test_cli_single_path_addressing(capsys, tmp_path, sigma_file):
     assert code == 0
     pruned = read_proof_text(out)
     # the deep justification is gone, the shallow occurrence is untouched
-    from prooflab import canonical_serialize
-
     assert "[p,r;0001]" not in canonical_serialize(pruned)
     assert node("p") in pruned.children
 
+
+
+def test_cli_replace_names_the_first_non_member_in_canonical_order(tmp_path, sigma_file):
+    target, donor = str(tmp_path / "t.proof"), str(tmp_path / "d.proof")
+    write_proof_file(target, node("p | q", node("p")))
+    # several non-members below the donor's [p], so set order could pick any
+    kids = ("~p", "r & ~p", "t", "s & t", "~q & ~r", "p & s", "p & ~t")
+    write_proof_file(donor, node("p", *(node(k) for k in kids)))
+    # the canonical text lists every child set in canonical order, so its
+    # class texts in reading order are the canonical pre-order walk
+    sp = lindenbaum_extend(read_sigma_file(sigma_file), 0)
+    serialized = canonical_serialize(read_proof_file(donor))
+    texts = re.findall(r"\[[^\]]*\]", serialized)
+    outside = [t for t in texts if not sp.member(class_from_text(t))]
+    assert len(set(outside)) > 2
+    argv = ["replace", "--target", target, "--donor", donor, "--sigma-class", "p"]
+    runs = {
+        run_process(*argv, "--sigma", sigma_file, env={"PYTHONHASHSEED": str(seed)})
+        for seed in range(5)
+    }
+    assert len(runs) == 1
+    code, out, err = runs.pop()
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: NotMember: {outside[0]} is not in the extension\n")
 
 def test_cli_premise_donor_error(capsys, tmp_path, sigma_file):
     target = str(tmp_path / "t.proof")
@@ -426,7 +470,7 @@ def test_cli_atom_cap_ceiling_is_a_usage_error(capsys, monkeypatch):
     def no_tables(*args, **kwargs):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr("prooflab.files.canonicalize", no_tables)
+    monkeypatch.setattr("prooflab.files.canonicalize_text", no_tables)
     for cap in ("25", "40", "-1"):
         code, out, err = run_cli(capsys, "parse", "p", "--atom-cap", cap)
         assert code == 2

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from prooflab import (
     And,
@@ -7,9 +7,11 @@ from prooflab import (
     Not,
     Or,
     ParseError,
+    ResourceLimit,
     Valuation,
     atoms_of,
     canonicalize,
+    canonicalize_text,
     evaluate,
     level,
     parse,
@@ -155,3 +157,107 @@ def test_render_parse_round_trip(f):
 def test_render_preserves_semantics(f, m):
     a = {name: (m >> j) & 1 for j, name in enumerate("pqrs")}
     assert eval_bool(parse(render(f)), a) == eval_bool(f, a)
+
+
+# --- the text path against the reference path ----------------------------
+
+def outcome(fn, *args):
+    """The class text, or the error kind and message (with position)."""
+    try:
+        return "ok", fn(*args).text()
+    except (ParseError, ResourceLimit) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reference(text, cap):
+    return canonicalize(parse(text), cap)
+
+
+def chain(n, op=" <-> "):
+    return op.join(f"x{i:02d}" for i in range(n))
+
+
+# pieces that mutations splice in: tokens, their fragments, characters
+# outside the grammar (upper case, digits, Unicode space and letters)
+HOSTILE = [
+    "~", "&", "|", "(", ")", "<->", "<-", "->", "<", "-", ">", " ", "\t", "\n",
+    "\u2003", "P", "1", "_", "x9", "\u00e9", "\x00", "p", "q_1", "((", "))", "~~",
+]
+
+EDGE_TEXTS = [
+    "", " ", "p", "~" * MAX_DEPTH + "p", "~" * (MAX_DEPTH + 1) + "p",
+    "(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH,
+    "(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1),
+    "~(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH,
+    " & ".join(["p"] * (MAX_DEPTH + 1)), " & ".join(["p"] * (MAX_DEPTH + 2)),
+    " | ".join(["p"] * (MAX_DEPTH + 1)) + " & q", "~(" + " | ".join(["p"] * 101) + ")",
+    " <-> ".join(["p"] * 34), " <-> ".join(["p"] * 35), " <-> ".join(["p", "q"] * 17),
+    chain(3), chain(16), chain(17), chain(20), chain(17) + " &", chain(17) + " & (",
+    "(" + chain(17, " | ") + " Q", chain(18, " & ") + ")", "~" * 101 + chain(17, " | "),
+    "p )", "(p", "p q", "p ~ q", "p <- q", "p<->q<->~r", "p & | q", " p ",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
+def test_text_path_matches_reference_on_edge_texts(text):
+    for cap in range(17):
+        assert outcome(canonicalize_text, text, cap) == outcome(reference, text, cap)
+
+
+def test_over_cap_syntax_error_is_a_parse_error():
+    # the grammar runs before the cap, so malformed input names its fault
+    for text in (chain(17) + " &", "(" + chain(20, " | "), chain(17, " & ") + " ? p"):
+        with pytest.raises(ParseError):
+            canonicalize_text(text)
+    with pytest.raises(ResourceLimit, match="17 atoms exceed the support cap of 16"):
+        canonicalize_text(chain(17))
+
+
+@st.composite
+def mutated_formulas(draw):
+    text = draw(st.one_of(
+        formulas.map(render),
+        st.integers(1, 40).map(chain),
+        st.builds(lambda f, g: f"{render(f)} <-> {render(g)}", formulas, formulas),
+        st.integers(95, 105).map(lambda k: "~" * k + "p"),
+        st.integers(95, 105).map(lambda k: "(" * k + "p" + ")" * k),
+        st.integers(95, 105).map(lambda k: " & ".join(["p"] * k)),
+    ))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        piece = draw(st.sampled_from(HOSTILE + [""]))
+        text = text[:at] + piece + text[at + cut:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_formulas(), st.integers(0, 16))
+def test_text_path_matches_reference(text, cap):
+    assert outcome(canonicalize_text, text, cap) == outcome(reference, text, cap)
+
+
+def test_reading_files_skips_the_reference_path(tmp_path, monkeypatch):
+    # parse and canonicalize are the library API and the reference only
+    from prooflab import files, proof_eq
+
+    sigma = tmp_path / "s.txt"
+    sigma.write_text("p\nq | r <-> s\n")
+    ded = tmp_path / "d.txt"
+    ded.write_text("premises: s.txt\np\np | ~q\n")
+    expected = {cls.text() for cls in (reference("p", 16), reference("q | r <-> s", 16))}
+    proof = "format: 1\n{[p,q;0111],{{[p;01],{0}}}}\n"
+
+    def banned(*args, **kwargs):
+        raise AssertionError("reference path called while reading a file")
+
+    for module in ("formula", "propclass", "files"):
+        for name in ("parse", "canonicalize"):
+            monkeypatch.setattr(f"prooflab.{module}.{name}", banned, raising=False)
+    assert {c.text() for c in files.read_sigma_file(str(sigma))} == expected
+    assert {c.text() for c in files.read_sigma_text(sigma.read_text())} == expected
+    steps, premises = files.read_deduction_file(str(ded))
+    assert [c.text() for c in steps] == ["[p;01]", "[p,q;1011]"]
+    assert premises == str(tmp_path / "s.txt")
+    assert files.read_formula_arg("~p & q").text() == "[p,q;0100]"
+    assert proof_eq(files.read_proof_text(proof), files.read_proof_text(proof))

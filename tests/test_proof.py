@@ -10,6 +10,7 @@ from prooflab import (
     ParseError,
     ProofNode,
     TAUTOLOGY,
+    all_classes,
     build_proof,
     canonical_serialize,
     canonicalize,
@@ -24,9 +25,12 @@ from prooflab import (
     parse_proof,
     premises,
     proof_eq,
+    render,
+    representative,
 )
 
 from prooflab.formula import MAX_DEPTH
+from prooflab.proof import pretty_class
 
 from _oracles import random_proof, random_valid_deduction
 
@@ -257,3 +261,9 @@ def test_digest_hex_stable():
     r = ProofNode(TAUTOLOGY)
     assert digest_hex(r) == digest(r).hex()
     assert len(digest_hex(r)) == 64
+
+
+def test_pretty_class_is_the_rendered_representative():
+    for c in all_classes(["p", "q", "r"]):
+        expected = "1" if c == TAUTOLOGY else "0" if not c.support else render(representative(c))
+        assert pretty_class(c) == expected

@@ -260,3 +260,75 @@ def test_sixteen_atom_tables():
     # entails compares over the shared atoms, so a 17-atom union is fine
     assert not entails(c, canonicalize(parse("b")))
     assert entails(CONTRADICTION, c)
+
+
+# --- class-text decoding against the validating constructor -------------
+
+
+def decode_by_constructor(text):
+    """The reference decode: the table as a tuple of bits through the
+    validating ``PropClass`` constructor."""
+    if not (text.startswith("[") and text.endswith("]")) or ";" not in text:
+        raise ParseError(f"malformed class text {text!r}")
+    head, _, bits = text[1:-1].partition(";")
+    support = tuple(head.split(",")) if head else ()
+    if any(ch not in "01" for ch in bits) or not bits:
+        raise ParseError(f"malformed class table in {text!r}")
+    try:
+        return PropClass(support, tuple(int(ch) for ch in bits))
+    except ValueError as exc:
+        raise ParseError(f"non-canonical class text {text!r}: {exc}") from None
+
+
+def decoded(fn, text):
+    try:
+        c = fn(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", c.support, c.bits
+
+
+CANONICAL_TEXTS = [c.text() for c in all_classes(["a", "p", "q"])]
+CLASS_PIECES = ["[", "]", ";", ",", "0", "1", "2", "p", "q", "P", "1p", "", " ", "p,p", "_"]
+
+class_texts = st.one_of(
+    st.sampled_from(CANONICAL_TEXTS),
+    # any support and any bits: unsorted, repeated, invalid or
+    # inessential atoms, tables of the wrong length
+    st.builds(
+        lambda names, bits: "[%s;%s]" % (",".join(names), bits),
+        st.lists(st.sampled_from(["a", "b", "p", "q", "x_1", "P", "1p", ""]), max_size=4),
+        st.text("01", max_size=17),
+    ),
+)
+
+
+@st.composite
+def mutated_class_texts(draw):
+    text = draw(class_texts)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(st.sampled_from(CLASS_PIECES)) + text[at + cut:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_class_texts())
+def test_class_text_decode_matches_constructor(text):
+    assert decoded(class_from_text, text) == decoded(decode_by_constructor, text)
+
+
+def test_class_text_cache():
+    text = "[p,q;0110]"
+    first = class_from_text(text)
+    hits = class_from_text.cache_info().hits
+    again = class_from_text(text)
+    assert again == first and again.text() == text
+    assert class_from_text.cache_info().hits == hits + 1
+    # an error is raised again on every call, never kept
+    size = class_from_text.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ParseError, match="non-canonical class text"):
+            class_from_text("[p,q;0011]")
+    assert class_from_text.cache_info().currsize == size
