@@ -49,7 +49,6 @@ from .sigma import (
     lindenbaum_extend,
     ring_add,
     ring_mul,
-    scalar_or,
 )
 from .deduction import (
     CLASSICAL_RULES,

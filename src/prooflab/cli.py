@@ -18,6 +18,7 @@ from functools import lru_cache
 from .deduction import (
     DEFAULT_MAX_PRIOR,
     Deduction,
+    _enumeration_guard,
     check_deduction,
     classical_rules_report,
     induce_interpretation,
@@ -70,7 +71,7 @@ def _atom_cap(text: str) -> int:
 
 @lru_cache(maxsize=1)
 def _build_parser(max_steps: str) -> argparse.ArgumentParser:
-    """The parser whose ``--max-steps`` default is ``max_steps``.
+    """The parser whose ``prove --max-steps`` default is ``max_steps``.
 
     Built on the first ``run`` and kept while the default stays the
     same: parsing keeps no state in the parser, and help text is laid
@@ -91,12 +92,10 @@ def _build_parser(max_steps: str) -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="justify every deduction step")
     p.add_argument("deduction")
     sigma_opts(p)
-    p.add_argument("--max-steps", type=_non_negative_int, default=max_steps)
 
     p = sub.add_parser("interpret", help="print the induced reading")
     p.add_argument("deduction")
     sigma_opts(p)
-    p.add_argument("--max-steps", type=_non_negative_int, default=max_steps)
 
     p = sub.add_parser("prove", help="deduction file to proof file")
     p.add_argument("deduction")
@@ -196,7 +195,7 @@ def _dispatch(args) -> int:
 
     if args.command == "check":
         d = _load_deduction(args)
-        report = check_deduction(d, args.max_steps, args.atom_cap)
+        report = check_deduction(d, args.atom_cap)
         for line in report.lines():
             print(line)
         print("valid" if report.valid else f"invalid at step {report.first_invalid}")
@@ -204,14 +203,16 @@ def _dispatch(args) -> int:
 
     if args.command == "interpret":
         d = _load_deduction(args)
-        phi = induce_interpretation(d, args.max_steps, args.atom_cap)
+        phi = induce_interpretation(d, args.atom_cap)
         for line in phi.lines():
             print(line)
         return 0
 
     if args.command == "prove":
         d = _load_deduction(args)
-        phi = induce_interpretation(d, args.max_steps, args.atom_cap)
+        # the proof of an n-step reading can have 2**n nodes
+        _enumeration_guard(len(d) - 1, args.max_steps)
+        phi = induce_interpretation(d, args.atom_cap)
         r = build_proof(d, phi, args.atom_cap)
         _emit_proof(args, r, pretty=args.format == "pretty")
         return 0

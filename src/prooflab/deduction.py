@@ -5,9 +5,10 @@ A deduction is a finite sequence of classes over an extension context.
 A step is justified by membership in the extension, or by the
 conjunction or disjunction of some earlier steps reaching it in the
 Boolean order. Checks and readings need only the prefix conjunctions
-``AND(step 1..k)``; :func:`omega` and :func:`gamma` keep the subset
-definitions as the reference. A step that needs a justification and has
-more than ``max_prior`` predecessors raises :class:`ResourceLimit`.
+``AND(step 1..k)``, so they cost O(n²) class combines and have no step
+cap; :func:`omega` and :func:`gamma` keep the subset definitions as the
+reference. :func:`omega` enumerates subsets, so a step with more than
+``max_prior`` predecessors raises :class:`ResourceLimit` there.
 
 Because the extension is deductively closed, the original membership
 clauses (literal membership of the base set, or one-step derivability
@@ -139,14 +140,13 @@ def _base_tag(d: Deduction, c: PropClass) -> str | None:
     return None
 
 
-def check_deduction(
-    d: Deduction, max_prior: int = DEFAULT_MAX_PRIOR, atom_cap: int = DEFAULT_ATOM_CAP
-) -> DeductionReport:
+def check_deduction(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> DeductionReport:
     """Justify every step by membership, else by the conjunction of the
     first set H of earlier steps, in ascending bitmask order, reaching it;
     no disjunction reaches more. Such sets are closed under supersets, so
     H exists when the prefix does, and from the highest index down, k is
-    dropped whenever the kept indices and 1..k-1 still reach the step."""
+    dropped whenever the kept indices and 1..k-1 still reach the step.
+    The search takes O(n) combines per step, so no step count is capped."""
     prefix = [TAUTOLOGY]  # prefix[k] = AND(step 1..k), built once needed
     conj = accumulate(d.steps, partial(class_and, atom_cap=atom_cap))
     reports = []
@@ -155,7 +155,6 @@ def check_deduction(
         if d.context.member(c):
             reports.append(StepReport(i, "a", None, _base_tag(d, c)))
             continue
-        _enumeration_guard(i - 1, max_prior)
         while len(prefix) < i:
             prefix.append(next(conj))
         if i == 1 or not entails(prefix[i - 1], c):
@@ -211,27 +210,29 @@ def gamma(h: Iterable[int]) -> int:
     return math.prod(nth_prime(j) for j in indices)
 
 
-def induce_interpretation(
-    d: Deduction, max_prior: int = DEFAULT_MAX_PRIOR, atom_cap: int = DEFAULT_ATOM_CAP
-) -> Interpretation:
+def induce_interpretation(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> Interpretation:
     """The canonical reading: depth-first from the last step, each visited
     step takes the justifying set with the greatest prime product, and
     every step never reached is a premise. Justifying sets are closed
     under supersets, so that set is the whole prefix {1..u-1}, and a
-    justified last step leads to every earlier step."""
-    report = check_deduction(d, max_prior, atom_cap)
-    if not report.valid:
-        raise InvalidDeduction(f"step {report.first_invalid} is not justified")
-    n = len(d)
-    _enumeration_guard(n - 1, max_prior)
+    justified last step leads to every earlier step.
+
+    The prefix conjunctions are built first, so a prefix over the atom
+    cap raises :class:`ResourceLimit` before any step is judged. One pass
+    then marks step u reached when u > 1 and ``AND(step 1..u-1)`` entails
+    it; the first step neither reached nor a member raises
+    :class:`InvalidDeduction`, naming the step :func:`check_deduction`
+    reports first."""
     prefix = [TAUTOLOGY, *accumulate(d.steps[:-1], partial(class_and, atom_cap=atom_cap))]
-
-    def reached(u: int) -> bool:
-        return u > 1 and entails(prefix[u - 1], d.step(u))
-
-    last = reached(n)
+    reached = []
+    for u, c in enumerate(d.steps, 1):
+        hit = u > 1 and entails(prefix[u - 1], c)
+        if not hit and not d.context.member(c):
+            raise InvalidDeduction(f"step {u} is not justified")
+        reached.append(hit)
+    last = reached[-1]
     return Interpretation(
-        {u: frozenset(range(1, u)) if last and reached(u) else 0 for u in range(1, n + 1)}
+        {u: frozenset(range(1, u)) if last and hit else 0 for u, hit in enumerate(reached, 1)}
     )
 
 

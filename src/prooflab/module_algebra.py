@@ -68,7 +68,9 @@ def delta_merge(
     diff = d1 ^ d2
     if not diff:
         raise InternalError("distinct child sets have an empty symmetric difference")
-    if entails(big_and((c.conclusion for c in diff), atom_cap), class_and(z1, z2, atom_cap)):
+    # fold in canonical order, so an over-cap combine is the same one on every run
+    parts = sorted((c.conclusion for c in diff), key=PropClass.text)
+    if entails(big_and(parts, atom_cap), class_and(z1, z2, atom_cap)):
         return frozenset(diff)
     return None
 

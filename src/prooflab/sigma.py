@@ -127,15 +127,6 @@ def ring_mul(sp: SigmaPrime, a: PropClass, b: PropClass) -> PropClass:
     return class_or(a, b)
 
 
-def scalar_or(sp: SigmaPrime, s: Scalar, c: PropClass) -> PropClass:
-    """Disjunction with a scalar; the formal identity acts as a no-op."""
-    sp.require_member(c)
-    if isinstance(s, FormalOne):
-        return c
-    sp.require_member(s.payload)
-    return class_or(s.payload, c)
-
-
 @dataclass(frozen=True)
 class LawCheck:
     name: str

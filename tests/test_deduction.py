@@ -125,14 +125,31 @@ def test_omega_matches_brute_force(sp_p):
 
 
 def test_resource_limit(sp_pq):
+    # only omega enumerates subsets, so only omega has a step cap
     steps = tuple(cls("p") for _ in range(6)) + (cls("~q"),)
     d = Deduction(steps, sp_pq)
     with pytest.raises(ResourceLimit):
-        check_deduction(d, max_prior=5)
-    with pytest.raises(ResourceLimit):
         omega(d, 7, max_prior=5)
-    # members never need enumeration, so a long valid prefix is fine
-    assert check_deduction(Deduction(steps[:6], sp_pq), max_prior=5).valid
+    assert omega(d, 6, max_prior=5)
+    assert check_deduction(d).first_invalid == 7
+    # prefix conjunctions take O(n^2) combines: 200 steps need no cap
+    long = Deduction(tuple(cls(t) for t in ("p", "p | q") * 100), sp_pq)
+    assert check_deduction(long).valid
+    assignment = induce_interpretation(long).assignment
+    assert assignment[1] == 0
+    assert all(assignment[u] == frozenset(range(1, u)) for u in range(2, 201))
+
+
+def test_reading_needs_no_check_report(sp_p, monkeypatch):
+    def banned(*args, **kwargs):
+        raise AssertionError("check report built for a reading")
+
+    monkeypatch.setattr("prooflab.deduction.check_deduction", banned)
+    phi = induce_interpretation(ded(sp_p, "p", "p | q", "p | q | r"))
+    assert phi.assignment == {1: 0, 2: frozenset({1}), 3: frozenset({1, 2})}
+    # the first step neither reached nor a member, as check names it
+    with pytest.raises(InvalidDeduction, match="^step 2 is not justified$"):
+        induce_interpretation(ded(sp_p, "p", "q", "q & r", "s"))
 
 
 def test_nth_prime_and_gamma():

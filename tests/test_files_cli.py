@@ -315,6 +315,26 @@ def test_cli_replace_names_the_first_non_member_in_canonical_order(tmp_path, sig
     assert (code, out) == (1, "")
     assert err.endswith(f"error: NotMember: {outside[0]} is not in the extension\n")
 
+
+def test_cli_add_names_the_same_over_cap_combine_on_every_run(tmp_path):
+    # the symmetric difference of the two child sets holds five premises;
+    # folding their conclusions in set order overflowed a cap of 2 at
+    # support 3 or 4 depending on the hash seed
+    a, b, sigma = (tmp_path / name for name in ("a.proof", "b.proof", "s.txt"))
+    a.write_text("format: 1\n{[x;10],{{[a;10],{0}},{[b,c;1000],{0}},{[d,e;1000],{0}}}}\n")
+    b.write_text("format: 1\n{[x;10],{{[f;10],{0}},{[g,h;1000],{0}}}}\n")
+    sigma.write_text("")
+    argv = ["add", str(a), str(b), "--sigma", str(sigma), "--atom-cap", "2"]
+    runs = {run_process(*argv, env={"PYTHONHASHSEED": str(seed)}) for seed in range(8)}
+    assert len(runs) == 1
+    code, out, err = runs.pop()
+    assert (code, out) == (1, "")
+    # canonical text order: [a;10] & [b,c;1000] is the first combine
+    assert err.endswith(
+        "error: ResourceLimit: combined support of 3 atoms exceeds the cap of 2\n"
+    )
+
+
 def test_cli_premise_donor_error(capsys, tmp_path, sigma_file):
     target = str(tmp_path / "t.proof")
     donor = str(tmp_path / "d.proof")
@@ -346,45 +366,99 @@ def test_cli_deterministic(capsys, ded_file, sigma_file):
 
 
 def test_cli_env_max_steps(capsys, tmp_path, sigma_file, monkeypatch):
-    # six membership steps then a non-member: enumeration over six priors
-    # exceeds a cap of five
+    # the step cap bounds prove only: seven steps have six prior steps,
+    # over a cap of five
     ded = tmp_path / "long.txt"
-    lines = ["p"] * 6 + ["s"]
+    lines = ["p"] * 6 + ["p | s"]
     ded.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(
-        capsys, "check", str(ded), "--sigma", sigma_file, "--max-steps", "5"
+    code, out, err = run_cli(
+        capsys, "prove", str(ded), "--sigma", sigma_file, "--max-steps", "5"
     )
-    assert code == 1
-    assert "error: ResourceLimit:" in err
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (
+        "error: ResourceLimit: 6 prior steps exceed the enumeration cap of 5"
+    )
     # read on every call: set, changed and unset within one process
     for value, code in [("5", 1), ("6", 0), ("abc", 2), ("5", 1), ("", 0), (None, 0)]:
         if value is None:
             monkeypatch.delenv("PROOFLAB_MAX_STEPS")
         else:
             monkeypatch.setenv("PROOFLAB_MAX_STEPS", value)
-        got, out, err = run_cli(capsys, "check", str(ded), "--sigma", sigma_file)
+        got, out, err = run_cli(capsys, "prove", str(ded), "--sigma", sigma_file)
         assert got == code, value
         if code == 0:
-            assert out.strip().endswith("invalid at step 7")
+            assert out.startswith("format: 1\n{[p,s;0111],{")
         elif code == 1:
             assert "error: ResourceLimit:" in err
         else:
             assert "usage:" in err and "non-negative integer" in err
+        # check and interpret have no step cap, so the variable is not theirs
+        for command in ("check", "interpret"):
+            got, out, err = run_cli(capsys, command, str(ded), "--sigma", sigma_file)
+            assert got == 0, (command, value)
 
 
 @pytest.mark.parametrize("command", ["check", "interpret", "prove"])
 def test_cli_max_steps_must_be_non_negative_int(
     capsys, monkeypatch, command, ded_file, sigma_file
 ):
+    # only prove takes --max-steps; to check and interpret it is unknown
     code, _, err = run_cli(
         capsys, command, ded_file, "--sigma", sigma_file, "--max-steps", "-1"
     )
     assert code == 2
-    assert "usage:" in err and "non-negative integer" in err
+    if command == "prove":
+        assert "usage:" in err and "non-negative integer" in err
+    else:
+        assert "usage:" in err and "unrecognized arguments: --max-steps -1" in err
     monkeypatch.setenv("PROOFLAB_MAX_STEPS", "abc")
     code, _, err = run_cli(capsys, command, ded_file, "--sigma", sigma_file)
-    assert code == 2
-    assert "usage:" in err and "non-negative integer" in err
+    if command == "prove":
+        assert code == 2
+        assert "usage:" in err and "non-negative integer" in err
+    else:
+        assert code == 0
+
+
+@pytest.fixture
+def long_ded_file(tmp_path):
+    # 200 steps, p and p | q alternating: a valid deduction under base p
+    path = tmp_path / "long.txt"
+    path.write_text("premises: base.txt\n" + "p\np | q\n" * 100)
+    (tmp_path / "base.txt").write_text("p\n")
+    return str(path)
+
+
+def test_cli_check_and_interpret_have_no_step_cap(capsys, long_ded_file):
+    code, out, err = run_cli(capsys, "check", long_ded_file)
+    assert (code, err) == (0, "witness: p=1 default=0\n")
+    assert out.splitlines()[-2:] == ["200   a       -             b", "valid"]
+    code, out, _ = run_cli(capsys, "interpret", long_ded_file)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 200
+    assert lines[:2] == ["1: 0", "2: {1}"]
+    assert lines[-1] == "200: {%s}" % ",".join(map(str, range(1, 200)))
+    for command in ("check", "interpret"):
+        code, out, err = run_cli(capsys, command, long_ded_file, "--max-steps", "5")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --max-steps 5" in err
+
+
+def test_cli_prove_checks_the_step_cap_before_any_combine(
+    capsys, monkeypatch, long_ded_file
+):
+    def no_reading(*args, **kwargs):
+        raise AssertionError("reading induced over the step cap")
+
+    monkeypatch.delenv("PROOFLAB_MAX_STEPS", raising=False)
+    monkeypatch.setattr("prooflab.cli.induce_interpretation", no_reading)
+    code, out, err = run_cli(capsys, "prove", long_ded_file)
+    assert (code, out) == (1, "")
+    assert err == (
+        "witness: p=1 default=0\n"
+        "error: ResourceLimit: 199 prior steps exceed the enumeration cap of 20\n"
+    )
 
 
 def test_cli_prefix_conjunction_above_atom_cap(capsys, tmp_path):
@@ -532,7 +606,7 @@ HELP_AND_USAGE = [
     ["parse"],
     ["nope"],
     ["parse", "p", "--atom-cap", "25"],
-    ["check", "d.txt", "--max-steps", "-1"],
+    ["prove", "d.txt", "--max-steps", "-1"],
 ]
 
 

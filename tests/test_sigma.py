@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from prooflab import (
     CONTRADICTION,
     TAUTOLOGY,
-    FORMAL_ONE,
-    ClassScalar,
     Inconsistent,
     NotMember,
     all_classes,
@@ -21,7 +19,6 @@ from prooflab import (
     parse,
     ring_add,
     ring_mul,
-    scalar_or,
 )
 
 from _oracles import class_value, member_oracle, random_formula, witness_oracle
@@ -152,16 +149,6 @@ def test_ring_mul_examples(sp_pq):
     )
     with pytest.raises(NotMember):
         ring_mul(sp_pq, a, cls("~p"))
-
-
-def test_scalar_or(sp_pq):
-    assert scalar_or(sp_pq, FORMAL_ONE, cls("p")) == cls("p")
-    assert scalar_or(sp_pq, ClassScalar(cls("p")), cls("q")) == cls("p | q")
-    assert scalar_or(sp_pq, ClassScalar(TAUTOLOGY), cls("p")) == TAUTOLOGY
-    with pytest.raises(NotMember):
-        scalar_or(sp_pq, ClassScalar(cls("~p")), cls("p"))
-    with pytest.raises(NotMember):
-        scalar_or(sp_pq, FORMAL_ONE, cls("~p"))
 
 
 def _member_classes(sp, atoms):
