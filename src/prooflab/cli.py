@@ -123,7 +123,7 @@ def _build_parser(max_steps: str) -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="ring and module law audit")
     sigma_opts(p, required=True)
     p.add_argument("--atoms", type=int, choices=(1, 2, 3), default=2)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_non_negative_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="also write the report here")
 

@@ -15,13 +15,17 @@ connectives ~, &, |.  Binary operators associate to the left.
 
 The one grammar builds into any algebra (:meth:`Scanned.build`):
 :func:`parse` builds the AST, and ``propclass.canonicalize_text``
-builds truth tables with no tree in between.
+builds truth tables with no tree in between. Since ``<->`` shares its
+operands, a parsed formula is a DAG; every walk of one is a call to
+:func:`fold`, which evaluates the AST in any algebra and visits each
+shared subtree once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import and_, is_, not_, or_
 from typing import Mapping, Union
 
 from .errors import ParseError
@@ -78,54 +82,71 @@ class Valuation:
         return self.assign.get(atom, self.default)
 
 
+def fold(f: Formula, atom, neg, conj, disj):
+    """The value of ``f`` in the algebra given by one function per node
+    kind: ``atom(name)``, ``neg(x)``, ``conj(x, y)`` and ``disj(x, y)``.
+
+    The AST counterpart of :meth:`Scanned.build`. ``<->`` shares its
+    operands, so a parsed formula is a DAG: ``atom`` is called once per
+    distinct name and each binary node is computed once per call, keyed
+    on its identity (the dataclass hash would itself walk the tree).
+    Raises ``TypeError`` at the first node, left to right, whose type is
+    not ``Atom``, ``Not``, ``And`` or ``Or``.
+    """
+    return _fold(f, {}, atom, neg, conj, disj)
+
+
+# one recursive function, not a closure: building a closure's cells
+# costs more than the whole walk of a small formula
+def _fold(g, memo, atom, neg, conj, disj):
+    kind = type(g)
+    if kind is Atom:
+        name = g.name
+        if name not in memo:  # names and node ids share the memo
+            memo[name] = atom(name)
+        return memo[name]
+    if kind is Not:
+        return neg(_fold(g.child, memo, atom, neg, conj, disj))
+    key = id(g)
+    if key in memo:
+        return memo[key]
+    if kind is And:
+        value = conj(
+            _fold(g.left, memo, atom, neg, conj, disj),
+            _fold(g.right, memo, atom, neg, conj, disj),
+        )
+    elif kind is Or:
+        value = disj(
+            _fold(g.left, memo, atom, neg, conj, disj),
+            _fold(g.right, memo, atom, neg, conj, disj),
+        )
+    else:
+        raise TypeError(f"not a formula: {g!r}")
+    memo[key] = value
+    return value
+
+
 def evaluate(f: Formula, v: Valuation) -> int:
     """Evaluate ``f`` under ``v`` with the standard Boolean semantics."""
-    if isinstance(f, Atom):
-        return v.bit(f.name)
-    if isinstance(f, Not):
-        return 1 - evaluate(f.child, v)
-    if isinstance(f, And):
-        return evaluate(f.left, v) & evaluate(f.right, v)
-    if isinstance(f, Or):
-        return evaluate(f.left, v) | evaluate(f.right, v)
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, v.bit, lambda x: 1 - x, and_, or_)
 
 
 def level(f: Formula) -> int:
     """Connective nesting depth: atoms sit at level 0."""
-    memo: dict[int, int] = {}
+    return fold(f, lambda name: 0, (1).__add__, _above, _above)
 
-    # ``<->`` shares its operands, so binary nodes are walked once each,
-    # keyed on identity: the dataclass hash would itself walk the tree
-    def walk(g: Formula) -> int:
-        if isinstance(g, Atom):
-            return 0
-        if isinstance(g, Not):
-            return walk(g.child) + 1
-        key = id(g)
-        if key not in memo:
-            memo[key] = max(walk(g.left), walk(g.right)) + 1
-        return memo[key]
 
-    return walk(f)
+def _above(x: int, y: int) -> int:
+    return (x if x > y else y) + 1
 
 
 def atoms_of(f: Formula) -> set[str]:
-    """All atom names occurring in ``f``; shared subtrees are visited once."""
+    """All atom names occurring in ``f``."""
     names: set[str] = set()
-    _collect_atoms(f, names, set())
+    # only the calls to names.add count; not_ and is_ are the cheapest
+    # functions of one and two arguments
+    fold(f, names.add, not_, is_, is_)
     return names
-
-
-def _collect_atoms(f: Formula, names: set[str], seen: set[int]) -> None:
-    if isinstance(f, Atom):
-        names.add(f.name)
-    elif isinstance(f, Not):
-        _collect_atoms(f.child, names, seen)
-    elif id(f) not in seen:
-        seen.add(id(f))
-        _collect_atoms(f.left, names, seen)
-        _collect_atoms(f.right, names, seen)
 
 
 # --- parsing -----------------------------------------------------------
@@ -295,12 +316,8 @@ def parse(text: str) -> Formula:
 
 # --- printing ----------------------------------------------------------
 
-_PREC = {Or: 0, And: 1, Not: 2, Atom: 3}
-
-
-def _wrap(child: Formula, parent_prec: int, right_operand: bool) -> str:
-    text = render(child)
-    prec = _PREC[type(child)]
+def _wrap(child: tuple[str, int], parent_prec: int, right_operand: bool) -> str:
+    text, prec = child
     # Left-associative printing: a same-precedence right operand keeps
     # its parentheses so the round trip reproduces the tree.
     if prec < parent_prec or (prec == parent_prec and right_operand):
@@ -309,13 +326,13 @@ def _wrap(child: Formula, parent_prec: int, right_operand: bool) -> str:
 
 
 def render(f: Formula) -> str:
-    """Minimal-parentheses text form; ``parse(render(f))`` equals ``f``."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return "~" + _wrap(f.child, _PREC[Not], False)
-    if isinstance(f, And):
-        return f"{_wrap(f.left, 1, False)} & {_wrap(f.right, 1, True)}"
-    if isinstance(f, Or):
-        return f"{_wrap(f.left, 0, False)} | {_wrap(f.right, 0, True)}"
-    raise TypeError(f"not a formula: {f!r}")
+    """Minimal-parentheses text form; ``parse(render(f))`` equals ``f``.
+
+    Each node renders to its text and precedence: | 0, & 1, ~ 2, atom 3."""
+    return fold(
+        f,
+        lambda name: (name, 3),
+        lambda x: ("~" + _wrap(x, 2, False), 2),
+        lambda x, y: (f"{_wrap(x, 1, False)} & {_wrap(y, 1, True)}", 1),
+        lambda x, y: (f"{_wrap(x, 0, False)} | {_wrap(y, 0, True)}", 0),
+    )[0]

@@ -131,12 +131,25 @@ def essentially_equal(
 
 
 def premises(r: ProofNode) -> frozenset[PropClass]:
-    """Conclusions of all premise-justified nodes in the tree."""
-    if r.children is None:
-        return frozenset([r.conclusion])
+    """Conclusions of all premise-justified nodes in the tree.
+
+    A reading justifies each step by every step before it, so a built
+    proof shares its subtrees: each distinct node is visited once,
+    keyed on its identity."""
     out: set[PropClass] = set()
-    for c in r.children:
-        out |= premises(c)
+    seen: set[int] = set()
+
+    def walk(node: ProofNode) -> None:
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        if node.children is None:
+            out.add(node.conclusion)
+        else:
+            for c in node.children:
+                walk(c)
+
+    walk(r)
     return frozenset(out)
 
 

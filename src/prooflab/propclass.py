@@ -27,7 +27,7 @@ from operator import and_, or_, xor
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ResourceLimit
-from .formula import ATOM_RE, And, Atom, Formula, Not, Or, Scanned, Valuation, atoms_of
+from .formula import ATOM_RE, And, Atom, Formula, Not, Or, Scanned, Valuation, atoms_of, fold
 
 DEFAULT_ATOM_CAP = 16
 MAX_ATOM_CAP = 24
@@ -173,35 +173,15 @@ def _pruned(atoms: Sequence[str], t: int) -> PropClass:
     return _make(tuple(a for j, a in enumerate(atoms) if j not in dropped), t)
 
 
-def _eval_columns(f: Formula, masks: dict, full: int) -> int:
-    """The table of ``f``. ``masks`` maps each atom name to its column,
-    and gains the table of each binary node under the node's ``id``, so
-    a subtree that ``<->`` shares is evaluated once."""
-    if isinstance(f, Atom):
-        return masks[f.name]
-    if isinstance(f, Not):
-        return full ^ _eval_columns(f.child, masks, full)
-    t = masks.get(id(f))
-    if t is None:
-        if isinstance(f, And):
-            t = _eval_columns(f.left, masks, full) & _eval_columns(f.right, masks, full)
-        elif isinstance(f, Or):
-            t = _eval_columns(f.left, masks, full) | _eval_columns(f.right, masks, full)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        masks[id(f)] = t
-    return t
-
-
 def canonicalize(f: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
     """The equivalence class of ``f``: full table, inessential atoms dropped."""
     atoms = sorted(atoms_of(f))
-    if len(atoms) > atom_cap:
-        raise ResourceLimit(f"{len(atoms)} atoms exceed the support cap of {atom_cap}")
     n = len(atoms)
-    cols = _columns(n)
-    column = {a: cols[n - 1 - j] for j, a in enumerate(atoms)}
-    return _pruned(atoms, _eval_columns(f, column, (1 << (1 << n)) - 1))
+    if n > atom_cap:
+        raise ResourceLimit(f"{n} atoms exceed the support cap of {atom_cap}")
+    full = (1 << (1 << n)) - 1
+    column = dict(zip(atoms, reversed(_columns(n))))
+    return _pruned(atoms, fold(f, column.__getitem__, full.__xor__, and_, or_))
 
 
 def canonicalize_text(text: str, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:

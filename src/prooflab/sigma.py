@@ -36,7 +36,11 @@ class SigmaPrime:
 
     base: frozenset[PropClass]
     witness: Valuation
-    default_bit: int
+
+    @property
+    def default_bit(self) -> int:
+        """The bit of every atom outside the witness's explicit map."""
+        return self.witness.default
 
     def member(self, c: PropClass) -> bool:
         """Membership in the extension: truth under the witness."""
@@ -77,7 +81,7 @@ def lindenbaum_extend(
     base = frozenset(sigma)
     atoms = sorted({a for c in base for a in c.support})
     assign = dict(zip(atoms, _smallest_assignment(atoms, list(base))))
-    return SigmaPrime(base, Valuation(assign, default_bit), default_bit)
+    return SigmaPrime(base, Valuation(assign, default_bit))
 
 
 def _smallest_assignment(atoms: list[str], classes: list[PropClass]) -> list[int]:

@@ -217,6 +217,16 @@ def test_cli_axioms(capsys, tmp_path, sigma_file):
         assert fh.read().strip() in out
 
 
+def test_cli_axioms_samples_must_be_non_negative_int(capsys, sigma_file):
+    # a negative count audits nothing and would report every law as passing
+    argv = ("axioms", "--sigma", sigma_file, "--atoms", "1", "--samples")
+    code, out, err = run_cli(capsys, *argv, "-4")
+    assert code == 2 and out == ""
+    assert "usage:" in err and "non-negative integer" in err
+    code, out, _ = run_cli(capsys, *argv, "0")
+    assert code == 0 and "samples=0" in out
+
+
 def test_cli_rules(capsys):
     code, out, _ = run_cli(capsys, "rules")
     assert code == 0

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -137,12 +139,18 @@ def test_level():
         assert level(f) == _depth(f)
 
 
+def iff(a, b):
+    """``a <-> b`` as the parser builds it: both operands shared."""
+    return And(Or(Not(a), b), Or(Not(b), a))
+
+
 formulas = st.recursive(
     st.sampled_from("pqrs").map(Atom),
     lambda kids: st.one_of(
         kids.map(Not),
         st.tuples(kids, kids).map(lambda ab: And(*ab)),
         st.tuples(kids, kids).map(lambda ab: Or(*ab)),
+        st.tuples(kids, kids).map(lambda ab: iff(*ab)),
     ),
     max_leaves=12,
 )
@@ -157,6 +165,37 @@ def test_render_parse_round_trip(f):
 def test_render_preserves_semantics(f, m):
     a = {name: (m >> j) & 1 for j, name in enumerate("pqrs")}
     assert eval_bool(parse(render(f)), a) == eval_bool(f, a)
+
+
+@given(formulas, st.integers(0, 7), st.integers(0, 1))
+def test_walks_match_tree_walks(f, m, default):
+    # s is left to the default bit
+    a = {name: (m >> j) & 1 for j, name in enumerate("pqr")}
+    assert evaluate(f, Valuation(a, default)) == eval_bool(f, a, default)
+    assert level(f) == _depth(f)
+    assert atoms_of(f) == set(re.findall("[pqrs]", render(f)))
+    assert canonicalize(f) == canonicalize_text(render(f))
+
+
+def test_evaluate_reads_each_atom_once(monkeypatch):
+    # a tree walk of this chain reads about 2**20 bits
+    names = [f"x{i:02d}" for i in range(20)]
+    f = parse(" <-> ".join(names))
+    reads = []
+    bit = Valuation.bit
+    monkeypatch.setattr(Valuation, "bit", lambda v, name: reads.append(name) or bit(v, name))
+    assert evaluate(f, Valuation({}, 1)) == 1
+    assert sorted(reads) == names
+    # one false operand makes the whole chain false
+    assert evaluate(f, Valuation({"x07": 0}, 1)) == 0
+    assert len(reads) == 40
+
+
+def test_fold_rejects_foreign_nodes():
+    for walk in (render, level, atoms_of, canonicalize, lambda f: evaluate(f, Valuation({}))):
+        for f in (And(p, "q"), Not(Or(p, None)), iff(p, 3)):
+            with pytest.raises(TypeError, match="not a formula: "):
+                walk(f)
 
 
 # --- the text path against the reference path ----------------------------

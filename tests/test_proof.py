@@ -191,6 +191,19 @@ def test_premises_and_less_forced():
     assert premises(ProofNode(cls("p"))) == frozenset({cls("p")})
 
 
+def test_premises_of_a_long_chain_proof(sp_pq):
+    # a reading justifies each step by every step before it, so these
+    # proofs have 30 distinct nodes but 2**28 root-to-leaf paths
+    chain = ("p", "p | q") * 15
+    d1, d2 = ded(sp_pq, *chain), ded(sp_pq, "q", *chain[:-1])
+    r1 = build_proof(d1, induce_interpretation(d1))
+    r2 = build_proof(d2, induce_interpretation(d2))
+    assert premises(r1) == frozenset({cls("p")})
+    assert premises(r2) == frozenset({cls("p"), cls("q")})
+    assert less_forced(r1, r2)
+    assert not less_forced(r2, r1)
+
+
 def test_conclusions_of_proofs_over_extension_are_members(sp_p):
     rng = random.Random(31)
     for _ in range(40):

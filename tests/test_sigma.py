@@ -8,6 +8,8 @@ from prooflab import (
     TAUTOLOGY,
     Inconsistent,
     NotMember,
+    SigmaPrime,
+    Valuation,
     all_classes,
     canonicalize,
     check_ring_axioms,
@@ -26,6 +28,16 @@ from _oracles import class_value, member_oracle, random_formula, witness_oracle
 
 def cls(text):
     return canonicalize(parse(text))
+
+
+def test_default_bit_is_the_witness_default():
+    # membership and the witness text read the one default bit
+    for bit in (0, 1):
+        sp = SigmaPrime(frozenset({cls("p")}), Valuation({"p": 1}, bit))
+        assert sp.default_bit == bit
+        assert sp.member(cls("q")) == bool(bit)
+        assert sp.witness_text() == f"p=1 default={bit}"
+        assert lindenbaum_extend({cls("p")}, bit) == sp
 
 
 def test_extend_smallest_witness():
