@@ -10,21 +10,19 @@ All outputs are deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from functools import lru_cache
 
 from .deduction import (
-    DEFAULT_MAX_PRIOR,
     Deduction,
-    _enumeration_guard,
     check_deduction,
     classical_rules_report,
     induce_interpretation,
 )
-from .errors import NotFound, ProofLabError
+from .errors import NotFound, ProofLabError, ResourceLimit
 from .files import (
+    proof_file_length,
     proof_file_text,
     read_deduction_file,
     read_formula_arg,
@@ -32,7 +30,16 @@ from .files import (
     read_sigma_file,
 )
 from .module_algebra import add, check_module_axioms, scalar_mul
-from .proof import ProofNode, build_proof, digest_hex, pretty_class, pretty_proof, proof_eq
+from .proof import (
+    MAX_PROOF_TEXT,
+    ProofNode,
+    build_proof,
+    digest_hex,
+    pretty_class,
+    pretty_proof,
+    proof_eq,
+    text_length,
+)
 from .propclass import DEFAULT_ATOM_CAP, MAX_ATOM_CAP, all_classes
 from .sigma import (
     FORMAL_ONE,
@@ -70,12 +77,10 @@ def _atom_cap(text: str) -> int:
 
 
 @lru_cache(maxsize=1)
-def _build_parser(max_steps: str) -> argparse.ArgumentParser:
-    """The parser whose ``prove --max-steps`` default is ``max_steps``.
-
-    Built on the first ``run`` and kept while the default stays the
-    same: parsing keeps no state in the parser, and help text is laid
-    out when it is printed."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``run`` and kept for the
+    life of the process: parsing keeps no state in the parser, and help
+    text is laid out when it is printed."""
     top = argparse.ArgumentParser(prog="prooflab")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -100,7 +105,6 @@ def _build_parser(max_steps: str) -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="deduction file to proof file")
     p.add_argument("deduction")
     sigma_opts(p)
-    p.add_argument("--max-steps", type=_non_negative_int, default=max_steps)
     p.add_argument("--format", choices=("canonical", "pretty"), default="canonical")
     p.add_argument("--output", help="write here instead of stdout")
 
@@ -157,6 +161,20 @@ def _load_deduction(args) -> Deduction:
     return Deduction(tuple(steps), sp)
 
 
+def _require_text_budget(r: ProofNode, pretty: bool) -> None:
+    """Raise :class:`ResourceLimit` before ``_emit_proof`` builds a text
+    of more than ``MAX_PROOF_TEXT`` characters. Pretty output sorts
+    children by their canonical text, so that text has to fit too."""
+    lengths = [("canonical", proof_file_length(r))]
+    if pretty:
+        lengths.insert(0, ("pretty", text_length(r, pretty=True) + 1))
+    for name, n in lengths:
+        if n > MAX_PROOF_TEXT:
+            raise ResourceLimit(
+                f"{name} proof text of {n} characters exceeds the budget of {MAX_PROOF_TEXT}"
+            )
+
+
 def _emit_proof(args, r: ProofNode, pretty: bool = False) -> None:
     text = pretty_proof(r) + "\n" if pretty else proof_file_text(r)
     if getattr(args, "output", None):
@@ -167,9 +185,7 @@ def _emit_proof(args, r: ProofNode, pretty: bool = False) -> None:
 
 
 def run(argv: list[str]) -> int:
-    # read on every call; a string default goes through the type, so a
-    # bad environment value is a usage error like a bad flag
-    parser = _build_parser(os.environ.get("PROOFLAB_MAX_STEPS") or str(DEFAULT_MAX_PRIOR))
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -210,11 +226,11 @@ def _dispatch(args) -> int:
 
     if args.command == "prove":
         d = _load_deduction(args)
-        # the proof of an n-step reading can have 2**n nodes
-        _enumeration_guard(len(d) - 1, args.max_steps)
         phi = induce_interpretation(d, args.atom_cap)
         r = build_proof(d, phi, args.atom_cap)
-        _emit_proof(args, r, pretty=args.format == "pretty")
+        pretty = args.format == "pretty"
+        _require_text_budget(r, pretty)
+        _emit_proof(args, r, pretty)
         return 0
 
     if args.command == "eq":
@@ -288,7 +304,7 @@ def _axioms_report(sp: SigmaPrime, atoms: int, samples: int, seed: int) -> str:
 def _surgery(args) -> int:
     target = read_proof_file(args.target)
     sigma_class = read_formula_arg(args.sigma_class, args.atom_cap)
-    path = parse_path(args.single_path) if args.single_path else None
+    path = None if args.single_path is None else parse_path(args.single_path)
 
     occ = find_occurrences(target, sigma_class)
     print(

@@ -132,10 +132,12 @@ def _enumeration_guard(prior: int, max_prior: int) -> None:
         )
 
 
-def _base_tag(d: Deduction, c: PropClass) -> str | None:
+def _base_tag(d: Deduction, base: list[PropClass], c: PropClass) -> str | None:
+    """``base`` is the base set in class-text order, so the ``entails``
+    calls repeat from run to run."""
     if c in d.context.base:
         return "a"
-    if any(entails(g, c) for g in d.context.base):
+    if any(entails(g, c) for g in base):
         return "b"
     return None
 
@@ -149,11 +151,12 @@ def check_deduction(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> Deduction
     The search takes O(n) combines per step, so no step count is capped."""
     prefix = [TAUTOLOGY]  # prefix[k] = AND(step 1..k), built once needed
     conj = accumulate(d.steps, partial(class_and, atom_cap=atom_cap))
+    base = sorted(d.context.base, key=PropClass.text)
     reports = []
     for i in range(1, len(d) + 1):
         c = d.step(i)
         if d.context.member(c):
-            reports.append(StepReport(i, "a", None, _base_tag(d, c)))
+            reports.append(StepReport(i, "a", None, _base_tag(d, base, c)))
             continue
         while len(prefix) < i:
             prefix.append(next(conj))

@@ -32,7 +32,8 @@ class NotMember(ProofLabError):
 
 
 class ResourceLimit(ProofLabError):
-    """A configured size cap (atom support or prior-step count) was exceeded."""
+    """A size cap (atom support, the prior steps ``omega`` enumerates, or
+    the length of a proof text) was exceeded."""
 
 
 class InvalidDeduction(ProofLabError):

@@ -14,7 +14,7 @@ import os
 
 from .errors import ParseError
 from .propclass import DEFAULT_ATOM_CAP, PropClass, canonicalize_text
-from .proof import ProofNode, canonical_serialize, parse_proof
+from .proof import ProofNode, canonical_serialize, parse_proof, text_length
 
 PROOF_FORMAT_LINE = "format: 1"
 
@@ -56,6 +56,11 @@ def read_deduction_file(
 
 def proof_file_text(r: ProofNode) -> str:
     return f"{PROOF_FORMAT_LINE}\n{canonical_serialize(r)}\n"
+
+
+def proof_file_length(r: ProofNode) -> int:
+    """``len(proof_file_text(r))``, without building the text."""
+    return len(PROOF_FORMAT_LINE) + 2 + text_length(r)
 
 
 def write_proof_file(path: str, r: ProofNode) -> None:

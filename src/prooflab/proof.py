@@ -25,12 +25,18 @@ from .propclass import (
     CONTRADICTION,
     DEFAULT_ATOM_CAP,
     PropClass,
+    _columns,
     class_from_text,
     is_tautology,
 )
 from .deduction import Deduction, Interpretation, validate_interpretation
 
 ProofDigest = bytes
+
+# characters of proof text the CLI builds for one proof; a reading
+# justifies step u by every step before it, so the text of an n-step
+# proof can double per step while the proof holds n distinct nodes
+MAX_PROOF_TEXT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,10 @@ def build_proof(
 
     Structural recursion from the final step: a premise index becomes a
     premise node, an index set becomes the set of its sub-proofs (equal
-    subtrees collapse). The result is normalized.
+    subtrees collapse). A tautology step becomes a premise node as it is
+    built, so the result is normalized with one node object per step and
+    no lookup in the cache of :func:`normalize`, whose keys compare
+    equal proofs built by an earlier call node by node, as trees.
     """
     if not validate_interpretation(d, phi, atom_cap):
         raise InvalidInterpretation("the assignment does not interpret this deduction")
@@ -114,13 +123,13 @@ def build_proof(
     def node(u: int) -> ProofNode:
         if u not in nodes:
             v = phi.assignment[u]
-            if v == 0:
+            if v == 0 or is_tautology(d.step(u)):
                 nodes[u] = ProofNode(d.step(u))
             else:
                 nodes[u] = ProofNode(d.step(u), frozenset(node(h) for h in sorted(v)))
         return nodes[u]
 
-    return normalize(node(len(d)))
+    return node(len(d))
 
 
 def essentially_equal(
@@ -229,15 +238,76 @@ def pretty_class(c: PropClass) -> str:
     )
 
 
+_PREMISE_MARK = "  [premise]"
+
+
 def pretty_proof(r: ProofNode) -> str:
     """Indented, display-only tree with DNF conclusions."""
     lines: list[str] = []
 
     def walk(node: ProofNode, depth: int) -> None:
-        marker = "  [premise]" if node.is_premise else ""
+        marker = _PREMISE_MARK if node.is_premise else ""
         lines.append("  " * depth + "- " + pretty_class(node.conclusion) + marker)
         for child in sorted_children(node):
             walk(child, depth + 1)
 
     walk(r, 0)
     return "\n".join(lines)
+
+
+# --- text lengths without the text -----------------------------------------
+
+
+def _pretty_class_length(c: PropClass) -> int:
+    """``len(pretty_class(c))``: each true row prints one literal per
+    support atom, with a '~' on the atoms the row sets to 0."""
+    n = len(c.support)
+    if not n:
+        return 1
+    rows = c.bits.bit_count()
+    ones = sum((c.bits & col).bit_count() for col in _columns(n))
+    names = sum(map(len, c.support))
+    return rows * (names + n + 3 * (n - 1)) - ones + 3 * (rows - 1)
+
+
+def _canonical_measure(node: ProofNode, kids: list[int]) -> int:
+    """Length of ``{class,{0}}`` or ``{class,{child,child,...}}``."""
+    just = 3 if node.children is None else sum(kids) + len(kids) + 1
+    return node.conclusion.text_length() + 3 + just
+
+
+def _pretty_measure(node: ProofNode, kids: list[tuple[int, int]]) -> tuple[int, int]:
+    """(lines, characters without newlines) of the subtree printed at
+    depth 0; one level deeper indents each of its lines by two."""
+    mark = _PREMISE_MARK if node.is_premise else ""
+    chars = len("- ") + _pretty_class_length(node.conclusion) + len(mark)
+    return 1 + sum(n for n, _ in kids), chars + sum(k + 2 * n for n, k in kids)
+
+
+def text_length(r: ProofNode, pretty: bool = False) -> int:
+    """``len(canonical_serialize(r))``, or ``len(pretty_proof(r))`` with
+    ``pretty``, without building either text.
+
+    Each distinct node is measured once, keyed on its identity, from
+    the measures of its children, so a built proof costs O(nodes +
+    child links) however long its text. The walk keeps its own stack,
+    since a built proof is as deep as its deduction is long."""
+    measure = _pretty_measure if pretty else _canonical_measure
+    memo: dict[int, object] = {}
+    stack = [r]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        kids = node.children or ()
+        todo = [c for c in kids if id(c) not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        memo[id(node)] = measure(node, [memo[id(c)] for c in kids])
+    if pretty:
+        lines, chars = memo[id(r)]
+        return chars + lines - 1
+    return memo[id(r)]

@@ -63,6 +63,10 @@ class PropClass:
         rows = 1 << len(self.support)
         return "[%s;%s]" % (",".join(self.support), format(self.bits, f"0{rows}b")[::-1])
 
+    def text_length(self) -> int:
+        """``len(self.text())``, without building the table digits."""
+        return len(",".join(self.support)) + (1 << len(self.support)) + 3
+
     def __str__(self) -> str:
         return self.text()
 

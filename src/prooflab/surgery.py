@@ -26,9 +26,14 @@ def format_path(path: ProofPath, prefix_len: int = 12) -> str:
 
 
 def parse_path(text: str) -> ProofPath:
+    """Inverse of :func:`format_path`. An empty path or segment raises
+    :class:`BadPath`, since an empty prefix would match every child."""
     if text == ".":
         return ()
-    return tuple(text.split("/"))
+    path = tuple(text.split("/"))
+    if "" in path:
+        raise BadPath(f"empty digest in path {text!r}")
+    return path
 
 
 def find_occurrences(r: ProofNode, sigma: PropClass) -> list[ProofPath]:
@@ -128,7 +133,19 @@ def eliminate_subproof(
 
 def _require_members(r: ProofNode, sp: SigmaPrime) -> None:
     """Raise on the first non-member conclusion in canonical pre-order,
-    so the class named does not depend on set iteration order."""
-    sp.require_member(r.conclusion)
-    for c in sorted_children(r):
-        _require_members(c, sp)
+    so the class named does not depend on set iteration order.
+
+    A built proof shares its subtrees, so each distinct node is checked
+    once, keyed on its identity: a node met again had its whole subtree
+    checked the first time, or the walk would have stopped there."""
+    seen: set[int] = set()
+
+    def walk(node: ProofNode) -> None:
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        sp.require_member(node.conclusion)
+        for c in sorted_children(node):
+            walk(c)
+
+    walk(r)

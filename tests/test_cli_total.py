@@ -32,7 +32,6 @@ CLASS_TEXTS = ("[;1]", "[;0]", "[p;01]", "[p;10]", "[p,q;0111]", "[q,r;0001]", "
 # flag values: (in range, out of range)
 ATOM_CAPS = (("2", "8", "16", "24"), ("25", "-1", "x", ""))
 DEFAULT_BITS = (("0", "1"), ("2", "-1", "x"))
-MAX_STEPS = (("0", "3", "20"), ("-1", "x", ""))
 ATOMS = (("1", "2"), ("0", "4", "-1", "x"))
 SAMPLES = (("0", "7", "50"), ("-1", "x"))
 SEEDS = (("0", "3", "-2"), ("x",))
@@ -136,8 +135,7 @@ class Invocation:
             return [command, self.deduction(), *self.sigma_opts()]
         if command == "prove":
             return [command, self.deduction(), *self.sigma_opts(),
-                    *opt("--max-steps", MAX_STEPS), *opt("--format", FORMATS),
-                    *self.output()]
+                    *opt("--format", FORMATS), *self.output()]
         if command == "eq":
             return [command, self.proof("a.proof"), self.proof("b.proof")]
         if command == "add":

@@ -1,9 +1,15 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import prooflab
 from prooflab import (
     Deduction,
     Interpretation,
@@ -327,3 +333,52 @@ def test_injected_wrong_rule_detected():
 def test_rule_budget_guard():
     with pytest.raises(ValueError):
         check_rule(CLASSICAL_RULES[0], atom_budget=4)
+
+
+BASE_TAG_CALLS = """
+import prooflab.deduction as deduction
+from prooflab import Deduction, canonicalize_text, check_deduction, lindenbaum_extend
+
+calls = []
+real = deduction.entails
+
+
+def entails(a, b):
+    calls.append((a.text(), b.text()))
+    return real(a, b)
+
+
+deduction.entails = entails
+base = frozenset(map(canonicalize_text, ["p", "q", "r", "s", "p & q", "t | u"]))
+steps = tuple(map(canonicalize_text, ["p | q", "q | s", "r | t", "~v"]))
+report = check_deduction(Deduction(steps, lindenbaum_extend(base, 0)))
+print(report.lines())
+print(calls)
+"""
+
+
+def test_base_tags_call_entails_in_the_same_order_on_every_run():
+    # each step is a member outside the base, so its tag scans the base
+    # for an element that entails it; ~v is entailed by none of them
+    src = str(Path(prooflab.__file__).resolve().parent.parent)
+    runs = {
+        subprocess.run(
+            [sys.executable, "-c", BASE_TAG_CALLS],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+        ).stdout
+        for seed in range(8)
+    }
+    assert len(runs) == 1
+    report, calls = runs.pop().splitlines()
+    assert [line[-1] for line in ast.literal_eval(report)[1:]] == ["b", "b", "b", "-"]
+    # the base in class-text order: "[p,q;" sorts before "[p;"
+    order = ["[p,q;0001]", "[p;01]", "[q;01]", "[r;01]", "[s;01]", "[t,u;0111]"]
+    assert ast.literal_eval(calls) == [
+        ("[p,q;0001]", "[p,q;0111]"),
+        ("[p,q;0001]", "[q,s;0111]"),
+        *((g, "[r,t;0111]") for g in order[:4]),
+        *((g, "[v;10]") for g in order),
+    ]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ from prooflab import (
     canonical_serialize,
     canonicalize,
     class_from_text,
+    digest_hex,
     lindenbaum_extend,
     parse,
     proof_eq,
@@ -302,6 +304,25 @@ def test_cli_single_path_addressing(capsys, tmp_path, sigma_file):
 
 
 
+@pytest.mark.parametrize("command", ["extract", "eliminate"])
+@pytest.mark.parametrize("path", ["", "{deep}//{leaf}", "/", "{deep}/"])
+def test_cli_empty_single_path_is_a_bad_path(capsys, tmp_path, command, path):
+    # an empty path is not the root path '.', and an empty digest would
+    # match every child
+    leaf = node("p")
+    tree = node("p | q", node("p", leaf))
+    target = str(tmp_path / "t.proof")
+    write_proof_file(target, tree)
+    deep = digest_hex(next(iter(tree.children)))[:12]
+    output = tmp_path / "out.proof"
+    argv = ["--target", target, "--sigma-class", "p", "--output", str(output)]
+    path = path.format(deep=deep, leaf=digest_hex(leaf)[:12])
+    code, out, err = run_cli(capsys, command, *argv, "--single-path", path)
+    assert (code, out) == (1, "")
+    assert err == f"error: BadPath: empty digest in path {path!r}\n"
+    assert not output.exists()
+
+
 def test_cli_replace_names_the_first_non_member_in_canonical_order(tmp_path, sigma_file):
     target, donor = str(tmp_path / "t.proof"), str(tmp_path / "d.proof")
     write_proof_file(target, node("p | q", node("p")))
@@ -375,59 +396,20 @@ def test_cli_deterministic(capsys, ded_file, sigma_file):
     assert a1 == a2
 
 
-def test_cli_env_max_steps(capsys, tmp_path, sigma_file, monkeypatch):
-    # the step cap bounds prove only: seven steps have six prior steps,
-    # over a cap of five
-    ded = tmp_path / "long.txt"
-    lines = ["p"] * 6 + ["p | s"]
-    ded.write_text("\n".join(lines) + "\n")
-    code, out, err = run_cli(
-        capsys, "prove", str(ded), "--sigma", sigma_file, "--max-steps", "5"
-    )
-    assert (code, out) == (1, "")
-    assert err.splitlines()[-1] == (
-        "error: ResourceLimit: 6 prior steps exceed the enumeration cap of 5"
-    )
-    # read on every call: set, changed and unset within one process
-    for value, code in [("5", 1), ("6", 0), ("abc", 2), ("5", 1), ("", 0), (None, 0)]:
-        if value is None:
-            monkeypatch.delenv("PROOFLAB_MAX_STEPS")
-        else:
-            monkeypatch.setenv("PROOFLAB_MAX_STEPS", value)
-        got, out, err = run_cli(capsys, "prove", str(ded), "--sigma", sigma_file)
-        assert got == code, value
-        if code == 0:
-            assert out.startswith("format: 1\n{[p,s;0111],{")
-        elif code == 1:
-            assert "error: ResourceLimit:" in err
-        else:
-            assert "usage:" in err and "non-negative integer" in err
-        # check and interpret have no step cap, so the variable is not theirs
-        for command in ("check", "interpret"):
-            got, out, err = run_cli(capsys, command, str(ded), "--sigma", sigma_file)
-            assert got == 0, (command, value)
-
-
 @pytest.mark.parametrize("command", ["check", "interpret", "prove"])
 def test_cli_max_steps_must_be_non_negative_int(
     capsys, monkeypatch, command, ded_file, sigma_file
 ):
-    # only prove takes --max-steps; to check and interpret it is unknown
+    # no command has a step cap: --max-steps is unknown to all three,
+    # and the environment variable that once set it is not read
     code, _, err = run_cli(
         capsys, command, ded_file, "--sigma", sigma_file, "--max-steps", "-1"
     )
     assert code == 2
-    if command == "prove":
-        assert "usage:" in err and "non-negative integer" in err
-    else:
-        assert "usage:" in err and "unrecognized arguments: --max-steps -1" in err
+    assert "usage:" in err and "unrecognized arguments: --max-steps -1" in err
     monkeypatch.setenv("PROOFLAB_MAX_STEPS", "abc")
     code, _, err = run_cli(capsys, command, ded_file, "--sigma", sigma_file)
-    if command == "prove":
-        assert code == 2
-        assert "usage:" in err and "non-negative integer" in err
-    else:
-        assert code == 0
+    assert code == 0
 
 
 @pytest.fixture
@@ -449,26 +431,88 @@ def test_cli_check_and_interpret_have_no_step_cap(capsys, long_ded_file):
     assert len(lines) == 200
     assert lines[:2] == ["1: 0", "2: {1}"]
     assert lines[-1] == "200: {%s}" % ",".join(map(str, range(1, 200)))
-    for command in ("check", "interpret"):
+    for command in ("check", "interpret", "prove"):
         code, out, err = run_cli(capsys, command, long_ded_file, "--max-steps", "5")
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --max-steps 5" in err
 
 
-def test_cli_prove_checks_the_step_cap_before_any_combine(
-    capsys, monkeypatch, long_ded_file
-):
-    def no_reading(*args, **kwargs):
-        raise AssertionError("reading induced over the step cap")
+def chain_text_length(steps):
+    """Length of the proof file ``prove`` writes for a chain in which
+    every step after the first is justified by all steps before it."""
+    total = 0  # summed serialization length of the steps so far
+    for u, text in enumerate(steps, 1):
+        just = 3 if u == 1 else total + (u - 1) + 1
+        length = len(text) + 3 + just
+        total += length
+    return len("format: 1\n") + length + 1
 
-    monkeypatch.delenv("PROOFLAB_MAX_STEPS", raising=False)
-    monkeypatch.setattr("prooflab.cli.induce_interpretation", no_reading)
-    code, out, err = run_cli(capsys, "prove", long_ded_file)
+
+@pytest.mark.parametrize("fmt", ["canonical", "pretty"])
+def test_cli_prove_checks_the_text_budget_before_building_text(
+    capsys, monkeypatch, long_ded_file, fmt
+):
+    def no_text(*args, **kwargs):
+        raise AssertionError("proof text built over the budget")
+
+    for name in ("prooflab.proof.canonical_serialize", "prooflab.files.canonical_serialize",
+                 "prooflab.cli.pretty_proof"):
+        monkeypatch.setattr(name, no_text)
+    # twice: building a proof equal to one built before in the process
+    # must not compare the two node by node, as trees of 2**199 paths
+    runs = [run_cli(capsys, "prove", long_ded_file, "--format", fmt) for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
     assert (code, out) == (1, "")
-    assert err == (
-        "witness: p=1 default=0\n"
-        "error: ResourceLimit: 199 prior steps exceed the enumeration cap of 20\n"
-    )
+    witness, error = err.splitlines()
+    assert witness == "witness: p=1 default=0"
+    if fmt == "canonical":
+        length = chain_text_length(["[p;01]", "[p,q;0111]"] * 100)
+        assert error == (
+            f"error: ResourceLimit: canonical proof text of {length} characters "
+            "exceeds the budget of 16777216"
+        )
+    else:
+        assert re.fullmatch(
+            r"error: ResourceLimit: pretty proof text of \d{60,} characters "
+            r"exceeds the budget of 16777216",
+            error,
+        )
+
+
+def test_cli_prove_budget_admits_21_steps_of_the_chain(capsys, tmp_path):
+    # p, then p | q: 21 steps was the most the old default step cap of
+    # 20 prior steps allowed, and 22 steps double the text past 2**24
+    (tmp_path / "base.txt").write_text("p\n")
+    steps = ["[p;01]"] + ["[p,q;0111]"] * 21
+    for n, code in [(21, 0), (22, 1)]:
+        ded = tmp_path / f"chain{n}.txt"
+        ded.write_text("premises: base.txt\np\n" + "p | q\n" * (n - 1))
+        got, out, err = run_cli(capsys, "prove", str(ded))
+        length = chain_text_length(steps[:n])
+        assert got == code
+        if code == 0:
+            assert len(out) == length == 14_680_074
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "819f11c77504e8205b66eadf8a724162663cfff1851c38618ce05e1bc898bddd"
+            )
+        else:
+            assert out == ""
+            assert err.splitlines()[-1] == (
+                f"error: ResourceLimit: canonical proof text of {length} characters "
+                "exceeds the budget of 16777216"
+            )
+
+
+def test_cli_prove_long_deduction_with_a_short_proof(capsys, tmp_path):
+    # the last step is a member but not reached, so every step is a
+    # premise and the proof is one node, however many steps precede it
+    (tmp_path / "base.txt").write_text("p\n")
+    ded = tmp_path / "long.txt"
+    ded.write_text("premises: base.txt\n" + "~q\n" * 199 + "p\n")
+    for fmt, text in [("canonical", "format: 1\n{[p;01],{0}}\n"), ("pretty", "- p  [premise]\n")]:
+        code, out, err = run_cli(capsys, "prove", str(ded), "--format", fmt)
+        assert (code, out, err) == (0, text, "witness: p=1 default=0\n")
 
 
 def test_cli_prefix_conjunction_above_atom_cap(capsys, tmp_path):
@@ -601,8 +645,7 @@ def test_cli_inconsistent_sigma(capsys, tmp_path, ded_file):
     assert "error: Inconsistent:" in err
 
 
-def test_cli_builds_parser_once(capsys, monkeypatch):
-    monkeypatch.delenv("PROOFLAB_MAX_STEPS", raising=False)
+def test_cli_builds_parser_once(capsys):
     _build_parser.cache_clear()
     for argv in [["parse", "p"], ["rules", "--atoms", "1"], ["parse", "p &"], ["nope"]] * 3:
         run_cli(capsys, *argv)
@@ -616,12 +659,11 @@ HELP_AND_USAGE = [
     ["parse"],
     ["nope"],
     ["parse", "p", "--atom-cap", "25"],
-    ["prove", "d.txt", "--max-steps", "-1"],
+    ["prove", "d.txt", "--format", "dnf"],
 ]
 
 
 def test_cli_help_and_usage_bytes_repeat(capsys, monkeypatch):
-    monkeypatch.delenv("PROOFLAB_MAX_STEPS", raising=False)
     monkeypatch.setenv("COLUMNS", "72")
     _build_parser.cache_clear()
     first = [run_cli(capsys, *argv) for argv in HELP_AND_USAGE]

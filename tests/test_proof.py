@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prooflab import (
     Deduction,
@@ -10,6 +11,7 @@ from prooflab import (
     ParseError,
     ProofNode,
     TAUTOLOGY,
+    add,
     all_classes,
     build_proof,
     canonical_serialize,
@@ -26,13 +28,15 @@ from prooflab import (
     premises,
     proof_eq,
     render,
+    replace_subproof,
     representative,
 )
 
+from prooflab.files import proof_file_length, proof_file_text
 from prooflab.formula import MAX_DEPTH
-from prooflab.proof import pretty_class
+from prooflab.proof import _pretty_class_length, pretty_class, pretty_proof, text_length
 
-from _oracles import random_proof, random_valid_deduction
+from _oracles import random_member_class, random_proof, random_valid_deduction
 
 
 def cls(text):
@@ -280,3 +284,26 @@ def test_pretty_class_is_the_rendered_representative():
     for c in all_classes(["p", "q", "r"]):
         expected = "1" if c == TAUTOLOGY else "0" if not c.support else render(representative(c))
         assert pretty_class(c) == expected
+        assert _pretty_class_length(c) == len(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_text_length_is_the_length_of_the_written_text(seed):
+    # built proofs share their subtrees, parsed ones repeat equal
+    # subtrees as separate objects, and add and replace rebuild both
+    rng = random.Random(seed)
+    atoms = ["p", "q", "x01", "a_1"]
+    base = frozenset(cls(rng.choice(atoms)) for _ in range(rng.randint(0, 2)))
+    sp = lindenbaum_extend(base, rng.randint(0, 1))
+    d = random_valid_deduction(rng, sp, atoms, max_steps=7)
+    built = build_proof(d, induce_interpretation(d))
+    classes = [random_member_class(rng, sp, atoms) for _ in range(6)]
+    a, b = (random_proof(rng, sp, classes, depth=3) for _ in range(2))
+    proofs = [built, parse_proof(canonical_serialize(a)), add(a, b, sp)]
+    if not built.is_premise:
+        donor = ProofNode(built.conclusion, frozenset({a, b}))
+        proofs.append(replace_subproof(built, built.conclusion, donor, sp))
+    for r in proofs:
+        assert proof_file_length(r) == len(proof_file_text(r))
+        assert text_length(r, pretty=True) + 1 == len(pretty_proof(r) + "\n")

@@ -238,6 +238,7 @@ def test_table_ops_match_mask_oracle(seed):
         assert c.support == tuple(x for x in POOL if mask_depends(mask, POOL, x))
         assert PropClass(c.support, c.table) == c
         assert class_from_text(c.text()) == c
+        assert c.text_length() == len(c.text())
     assert entails(a, b) == mask_entails(ma, mb, 256)
     assert entails(b, a) == mask_entails(mb, ma, 256)
 

@@ -2,16 +2,20 @@ import pytest
 
 from prooflab import (
     BadPath,
+    Deduction,
     NotFound,
     NotMember,
     PremiseDonor,
     ProofNode,
+    SigmaPrime,
+    build_proof,
     canonicalize,
     digest_hex,
     eliminate_subproof,
     extract_subproof,
     find_occurrences,
     format_path,
+    induce_interpretation,
     lindenbaum_extend,
     normalize,
     parse,
@@ -20,6 +24,7 @@ from prooflab import (
     proof_eq,
     replace_subproof,
 )
+from prooflab.surgery import _require_members
 
 
 def cls(text):
@@ -186,3 +191,24 @@ def test_path_formatting():
     assert parse_path(text) == (text,)
     assert format_path(()) == "."
     assert parse_path(".") == ()
+    # an empty digest prefix would match every child
+    for bad in ("", "/", f"{text}/", f"{text}//{text}", f"/{text}"):
+        with pytest.raises(BadPath, match="empty digest"):
+            parse_path(bad)
+
+
+def test_require_members_checks_each_distinct_node_once(monkeypatch):
+    # a reading justifies each step by every step before it, so the
+    # proof of this 18-step chain has 18 distinct nodes and 2**17
+    # root-to-leaf paths
+    base_sp = lindenbaum_extend({cls("p")}, 0)
+    d = Deduction((cls("p"),) + (cls("p | q"),) * 17, base_sp)
+    r = build_proof(d, induce_interpretation(d))
+    checked = []
+    real = SigmaPrime.require_member
+    monkeypatch.setattr(
+        SigmaPrime, "require_member", lambda self, c: checked.append(c) or real(self, c)
+    )
+    _require_members(r, base_sp)
+    assert len(checked) == 18
+    assert set(checked) == {cls("p"), cls("p | q")}
