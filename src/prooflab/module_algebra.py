@@ -17,9 +17,10 @@ diagnostics with counterexamples instead of asserting them.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalError
 from .propclass import (
@@ -168,6 +169,76 @@ def _tag(*nodes: ProofNode) -> str:
     return " ".join(digest_hex(n)[:12] for n in nodes)
 
 
+def _keeps_justification(s: ClassScalar, r: ProofNode) -> bool:
+    # normalization discards the justification exactly when the scalar
+    # product hits a tautology conclusion
+    return r.is_premise or not is_tautology(class_or(s.payload, r.conclusion))
+
+
+class _RestrictedDomain:
+    """The instances ``(s, a, b)`` of restricted scalar distributivity,
+    in the nested ``s``, ``a``, ``b`` order of the pools, as a sequence
+    that indexes them without listing them.
+
+    The domain is the proof-matching one: equal justifications always
+    work; a premise operand works as long as the scalar product keeps
+    the other operand's justification. A premise keeps its own under
+    every scalar, so in the row of ``(s, a)`` lie, for a premise ``a``,
+    every ``b`` that ``s`` keeps, and for a justified ``a``, the ``b``
+    with ``a``'s children, plus every premise when ``s`` keeps ``a``.
+    """
+
+    def __init__(self, scalars: Sequence[ClassScalar], pool: Sequence[ProofNode]):
+        self._scalars, self._pool = scalars, pool
+        by_children: dict[Justification, list[int]] = {}
+        for j, r in enumerate(pool):
+            by_children.setdefault(r.children, []).append(j)
+        self._group = [by_children[r.children] for r in pool]
+        self._premises = by_children.get(None, [])
+        self._keeps = [[_keeps_justification(s, r) for r in pool] for s in scalars]
+        # row k, the row of (scalars[k // len(pool)], pool[k % len(pool)]),
+        # starts at index _starts[k]
+        self._starts: list[int] = []
+        total = 0
+        for keeps in self._keeps:
+            kept = sum(keeps)
+            for a, r in enumerate(pool):
+                self._starts.append(total)
+                if r.is_premise:
+                    total += kept
+                else:
+                    total += len(self._group[a]) + (len(self._premises) if keeps[a] else 0)
+        self._len = total
+
+    def _row(self, k: int) -> list[int]:
+        """The pool indices ``b`` in row ``k``, ascending."""
+        s, a = divmod(k, len(self._pool))
+        keeps = self._keeps[s]
+        if self._pool[a].is_premise:
+            return [b for b, kept in enumerate(keeps) if kept]
+        if keeps[a]:
+            return sorted(self._group[a] + self._premises)
+        return self._group[a]
+
+    def _triple(self, k: int, b: int) -> tuple[ClassScalar, ProofNode, ProofNode]:
+        s, a = divmod(k, len(self._pool))
+        return self._scalars[s], self._pool[a], self._pool[b]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> tuple[ClassScalar, ProofNode, ProofNode]:
+        if not 0 <= i < self._len:
+            raise IndexError("restricted domain index out of range")
+        k = bisect_right(self._starts, i) - 1
+        return self._triple(k, self._row(k)[i - self._starts[k]])
+
+    def __iter__(self) -> Iterator[tuple[ClassScalar, ProofNode, ProofNode]]:
+        for k in range(len(self._starts)):
+            for b in self._row(k):
+                yield self._triple(k, b)
+
+
 def check_module_axioms(
     sp: SigmaPrime,
     scalars: Iterable[Scalar],
@@ -266,28 +337,7 @@ def check_module_axioms(
             add(scalar_mul(s, a, sp), scalar_mul(s, b, sp), sp),
         )
 
-    def keeps_justification(s: ClassScalar, r: ProofNode) -> bool:
-        # normalization discards the justification exactly when the
-        # scalar product hits a tautology conclusion
-        return r.is_premise or not is_tautology(class_or(s.payload, r.conclusion))
-
-    def restricted_instance(s: ClassScalar, a: ProofNode, b: ProofNode) -> bool:
-        # the proof-matching domain: equal justifications always work; a
-        # premise operand works as long as the scalar product preserves
-        # the other operand's justification
-        if a.children == b.children:
-            return True
-        return (a.is_premise or b.is_premise) and keeps_justification(
-            s, a
-        ) and keeps_justification(s, b)
-
-    restricted = [
-        (s, a, b)
-        for s in class_scalars
-        for a in pool
-        for b in pool
-        if restricted_instance(s, a, b)
-    ]
+    restricted = _RestrictedDomain(class_scalars, pool)
     run(
         "scalar-distributive-restricted",
         [restricted],

@@ -167,6 +167,61 @@ class RingAxiomReport:
 _BinOp = Callable[[PropClass, PropClass], PropClass]
 
 
+class _Numbering:
+    """Classes numbered in order of first appearance, each with its
+    extension membership, read once when it is numbered."""
+
+    def __init__(self, sp: SigmaPrime):
+        self.sp = sp
+        self.classes: list[PropClass] = []
+        self.member: list[bool] = []
+        self._number: dict[PropClass, int] = {}
+
+    def __call__(self, c: PropClass) -> int:
+        k = self._number.get(c)
+        if k is None:
+            k = self._number[c] = len(self.classes)
+            self.classes.append(c)
+            self.member.append(self.sp.member(c))
+        return k
+
+
+class _Table(dict):
+    """The Cayley table of one operation over numbered classes:
+    ``table[i][j]`` is the number of ``op(classes[i], classes[j])``, the
+    result of one call to ``op``, made on first use.
+
+    With ``members_only`` both operands must be extension members, as
+    for :func:`ring_add` and :func:`ring_mul`: a non-member operand
+    raises the :class:`NotMember` those functions raise."""
+
+    def __init__(self, numbering: _Numbering, op: _BinOp, members_only: bool):
+        self.numbering = numbering
+        self.op = op
+        self.members_only = members_only
+
+    def __missing__(self, i: int) -> "_Row":
+        row = self[i] = _Row(self, i)
+        return row
+
+
+class _Row(dict):
+    """Row ``i`` of a :class:`_Table`, filled in as it is read."""
+
+    def __init__(self, table: _Table, i: int):
+        self.table = table
+        self.i = i
+
+    def __missing__(self, j: int) -> int:
+        table, numbering = self.table, self.table.numbering
+        if table.members_only:
+            for operand in (self.i, j):
+                if not numbering.member[operand]:
+                    numbering.sp.require_member(numbering.classes[operand])
+        k = self[j] = numbering(table.op(numbering.classes[self.i], numbering.classes[j]))
+        return k
+
+
 def check_ring_axioms(
     sp: SigmaPrime,
     elements: Iterable[PropClass],
@@ -178,81 +233,109 @@ def check_ring_axioms(
     ``add_op``/``mul_op`` default to the ring operations; a test harness
     can inject corrupted ones to confirm the audit actually detects
     violations.
+
+    The elements are numbered and each operation is tabulated once: its
+    n² products of elements, plus, where a product falls outside the
+    elements, that product's products as the laws reach them. Every law
+    is then read off the two Cayley tables, in the order a direct check
+    of every pair and triple would take, so that check's first failing
+    call is still the one that raises. Each operation is called once per
+    pair of operands, which makes the audit of the 128 member classes
+    over three atoms take seconds, and means an injected operation must
+    be a pure function of its operands.
     """
     elems = sorted(set(elements), key=lambda c: c.text())
     for c in elems:
         sp.require_member(c)
-    add = add_op or (lambda a, b: ring_add(sp, a, b))
-    mul = mul_op or (lambda a, b: ring_mul(sp, a, b))
+    numbering = _Numbering(sp)
+    for c in elems:
+        numbering(c)
+    member = numbering.member
+    add = _Table(numbering, add_op or class_iff, add_op is None)
+    mul = _Table(numbering, mul_op or class_or, mul_op is None)
+    n = len(elems)
+    span = range(n)
+    t = [c.text() for c in elems]
 
     laws: list[LawCheck] = []
 
     def law(name: str, instances, failed) -> None:
         laws.append(LawCheck(name, instances, tuple(failed)))
 
-    pairs = [(a, b) for a in elems for b in elems]
-    triples = [(a, b, c) for a in elems for b in elems for c in elems]
-
+    # the closure laws fill each table's element rows, in pair order
     law(
         "add-closure",
-        len(pairs),
-        (f"{a} + {b} leaves the extension" for a, b in pairs if not sp.member(add(a, b))),
+        n * n,
+        (f"{t[a]} + {t[b]} leaves the extension" for a in span for b in span if not member[add[a][b]]),
     )
     law(
         "mul-closure",
-        len(pairs),
-        (f"{a} * {b} leaves the extension" for a, b in pairs if not sp.member(mul(a, b))),
+        n * n,
+        (f"{t[a]} * {t[b]} leaves the extension" for a in span for b in span if not member[mul[a][b]]),
     )
     law(
         "add-commutative",
-        len(pairs),
-        (f"{a} + {b}" for a, b in pairs if add(a, b) != add(b, a)),
+        n * n,
+        (f"{t[a]} + {t[b]}" for a in span for b in span if add[a][b] != add[b][a]),
     )
-    law(
-        "add-associative",
-        len(triples),
-        (
-            f"({a} + {b}) + {c}"
-            for a, b, c in triples
-            if add(add(a, b), c) != add(a, add(b, c))
-        ),
-    )
+    law("add-associative", n**3, _associativity_failures(add, t, "+"))
+    zero = numbering(TAUTOLOGY)
     law(
         "add-neutral",
-        len(elems),
-        (f"{a} + taut != {a}" for a in elems if add(a, TAUTOLOGY) != a),
+        n,
+        (f"{t[a]} + taut != {t[a]}" for a in span if add[a][zero] != a),
     )
     law(
         "add-self-inverse",
-        len(elems),
-        (f"{a} + {a} not taut" for a in elems if not is_tautology(add(a, a))),
+        n,
+        (
+            f"{t[a]} + {t[a]} not taut"
+            for a in span
+            if not is_tautology(numbering.classes[add[a][a]])
+        ),
     )
     law(
         "mul-commutative",
-        len(pairs),
-        (f"{a} * {b}" for a, b in pairs if mul(a, b) != mul(b, a)),
+        n * n,
+        (f"{t[a]} * {t[b]}" for a in span for b in span if mul[a][b] != mul[b][a]),
     )
-    law(
-        "mul-associative",
-        len(triples),
-        (
-            f"({a} * {b}) * {c}"
-            for a, b, c in triples
-            if mul(mul(a, b), c) != mul(a, mul(b, c))
-        ),
-    )
+    law("mul-associative", n**3, _associativity_failures(mul, t, "*"))
     law(
         "mul-idempotent",
-        len(elems),
-        (f"{a} * {a} != {a}" for a in elems if mul(a, a) != a),
+        n,
+        (f"{t[a]} * {t[a]} != {t[a]}" for a in span if mul[a][a] != a),
     )
-    law(
-        "mul-distributes-over-add",
-        len(triples),
-        (
-            f"{a} * ({b} + {c})"
-            for a, b, c in triples
-            if mul(a, add(b, c)) != add(mul(a, b), mul(a, c))
-        ),
-    )
+    law("mul-distributes-over-add", n**3, _distributivity_failures(add, mul, t))
     return RingAxiomReport(tuple(laws))
+
+
+def _associativity_failures(op: _Table, t: list[str], sym: str) -> list[str]:
+    """``(a op b) op c`` against ``a op (b op c)`` over the element triples."""
+    span = range(len(t))
+    failed = []
+    for a in span:
+        op_a = op[a]
+        for b in span:
+            op_ab, op_b = op[op_a[b]], op[b]
+            failed.extend(
+                f"({t[a]} {sym} {t[b]}) {sym} {t[c]}"
+                for c in span
+                if op_ab[c] != op_a[op_b[c]]
+            )
+    return failed
+
+
+def _distributivity_failures(add: _Table, mul: _Table, t: list[str]) -> list[str]:
+    """``a * (b + c)`` against ``(a * b) + (a * c)`` over the element triples."""
+    span = range(len(t))
+    failed = []
+    for a in span:
+        mul_a = mul[a]
+        for b in span:
+            add_b, add_ab = add[b], add[mul_a[b]]
+            failed.extend(
+                f"{t[a]} * ({t[b]} + {t[c]})"
+                for c in span
+                if mul_a[add_b[c]] != add_ab[mul_a[c]]
+            )
+    return failed

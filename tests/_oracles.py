@@ -232,3 +232,61 @@ def random_proof(
         for _ in range(rng.randint(1, 3))
     )
     return normalize(ProofNode(conclusion, kids))
+
+
+def ring_audit_oracle(sp: SigmaPrime, elements, add_op=None, mul_op=None):
+    """The ring-law audit as a direct check of every pair and triple,
+    calling the operations afresh for every instance: the reference
+    that ``check_ring_axioms``'s Cayley tables must agree with, in the
+    report and in the exception the first failing call raises."""
+    from prooflab import TAUTOLOGY, is_tautology, ring_add, ring_mul
+    from prooflab.sigma import LawCheck, RingAxiomReport
+
+    elems = sorted(set(elements), key=lambda c: c.text())
+    for c in elems:
+        sp.require_member(c)
+    add = add_op or (lambda a, b: ring_add(sp, a, b))
+    mul = mul_op or (lambda a, b: ring_mul(sp, a, b))
+    laws = []
+
+    def law(name, instances, failed):
+        laws.append(LawCheck(name, instances, tuple(failed)))
+
+    pairs = [(a, b) for a in elems for b in elems]
+    triples = [(a, b, c) for a in elems for b in elems for c in elems]
+    law("add-closure", len(pairs),
+        (f"{a} + {b} leaves the extension" for a, b in pairs if not sp.member(add(a, b))))
+    law("mul-closure", len(pairs),
+        (f"{a} * {b} leaves the extension" for a, b in pairs if not sp.member(mul(a, b))))
+    law("add-commutative", len(pairs), (f"{a} + {b}" for a, b in pairs if add(a, b) != add(b, a)))
+    law("add-associative", len(triples),
+        (f"({a} + {b}) + {c}" for a, b, c in triples if add(add(a, b), c) != add(a, add(b, c))))
+    law("add-neutral", len(elems), (f"{a} + taut != {a}" for a in elems if add(a, TAUTOLOGY) != a))
+    law("add-self-inverse", len(elems),
+        (f"{a} + {a} not taut" for a in elems if not is_tautology(add(a, a))))
+    law("mul-commutative", len(pairs), (f"{a} * {b}" for a, b in pairs if mul(a, b) != mul(b, a)))
+    law("mul-associative", len(triples),
+        (f"({a} * {b}) * {c}" for a, b, c in triples if mul(mul(a, b), c) != mul(a, mul(b, c))))
+    law("mul-idempotent", len(elems), (f"{a} * {a} != {a}" for a in elems if mul(a, a) != a))
+    law("mul-distributes-over-add", len(triples),
+        (f"{a} * ({b} + {c})" for a, b, c in triples
+         if mul(a, add(b, c)) != add(mul(a, b), mul(a, c))))
+    return RingAxiomReport(tuple(laws))
+
+
+def restricted_domain_oracle(scalars, pool) -> list[tuple]:
+    """Every ``(s, a, b)`` of restricted scalar distributivity, listed by
+    testing the proof-matching predicate on each triple."""
+    from prooflab import class_or, is_tautology
+
+    def keeps_justification(s, r):
+        return r.is_premise or not is_tautology(class_or(s.payload, r.conclusion))
+
+    def restricted_instance(s, a, b):
+        if a.children == b.children:
+            return True
+        return (a.is_premise or b.is_premise) and keeps_justification(
+            s, a
+        ) and keeps_justification(s, b)
+
+    return [(s, a, b) for s in scalars for a in pool for b in pool if restricted_instance(s, a, b)]

@@ -219,6 +219,20 @@ def test_cli_axioms(capsys, tmp_path, sigma_file):
         assert fh.read().strip() in out
 
 
+def test_cli_axioms_over_three_atoms(capsys, tmp_path):
+    base = tmp_path / "p.txt"
+    base.write_text("p\n")
+    code, out, _ = run_cli(
+        capsys, "axioms", "--sigma", str(base), "--atoms", "3", "--samples", "5"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "ring laws over 128 member classes on atoms p,q,r"
+    ring_laws = lines[2 : lines.index("")]
+    assert len(ring_laws) == 10
+    assert all(line.split()[-1] == "0" for line in ring_laws)
+
+
 def test_cli_axioms_samples_must_be_non_negative_int(capsys, sigma_file):
     # a negative count audits nothing and would report every law as passing
     argv = ("axioms", "--sigma", sigma_file, "--atoms", "1", "--samples")

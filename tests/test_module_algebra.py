@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prooflab import (
     FORMAL_ONE,
@@ -10,6 +11,7 @@ from prooflab import (
     ProofNode,
     TAUTOLOGY,
     add,
+    all_classes,
     big_and,
     canonical_serialize,
     canonicalize,
@@ -29,7 +31,9 @@ from prooflab import (
     scalar_mul,
 )
 
-from _oracles import random_proof
+from prooflab.module_algebra import _RestrictedDomain
+
+from _oracles import random_proof, restricted_domain_oracle
 
 
 def cls(text):
@@ -251,3 +255,31 @@ def test_check_module_axioms_rejects_non_member(sp):
         check_module_axioms(sp, [ClassScalar(cls("~p"))], [node("p")])
     with pytest.raises(NotMember):
         check_module_axioms(sp, [], [node("~p")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_restricted_domain_indexes_the_listed_triples(seed):
+    # a random.Random from an integer seed, since st.randoms() draws skew small
+    rng = random.Random(seed)
+    sp = lindenbaum_extend({cls("p")}, rng.randint(0, 1))
+    members = [c for c in all_classes(["p", "q"]) if sp.member(c)]
+    premises = [ProofNode(c) for c in rng.sample(members, rng.randint(0, 4))]
+    shared = frozenset(premises[:2] or [node("p")])
+    pool = [
+        *premises,
+        *(ProofNode(rng.choice(members), shared) for _ in range(rng.randint(0, 3))),
+        *(random_proof(rng, sp, members) for _ in range(rng.randint(0, 4))),
+    ]
+    rng.shuffle(pool)
+    # the tautology scalar, and members such as ~p | q that reach one on
+    # some conclusions, make scalar products drop justifications
+    scalars = [ClassScalar(c) for c in [TAUTOLOGY, *rng.sample(members, rng.randint(0, 4))]]
+    scalars = rng.sample(scalars, rng.randint(0, len(scalars)))
+    domain = _RestrictedDomain(scalars, pool)
+    expected = restricted_domain_oracle(scalars, pool)
+    assert len(domain) == len(expected)
+    assert [domain[i] for i in range(len(expected))] == expected
+    assert list(domain) == expected
+    with pytest.raises(IndexError):
+        domain[len(expected)]

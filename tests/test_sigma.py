@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prooflab import (
     CONTRADICTION,
@@ -13,6 +13,7 @@ from prooflab import (
     all_classes,
     canonicalize,
     check_ring_axioms,
+    class_and,
     class_iff,
     class_not,
     class_or,
@@ -23,7 +24,7 @@ from prooflab import (
     ring_mul,
 )
 
-from _oracles import class_value, member_oracle, random_formula, witness_oracle
+from _oracles import class_value, member_oracle, random_formula, ring_audit_oracle, witness_oracle
 
 
 def cls(text):
@@ -192,6 +193,48 @@ def test_ring_axioms_detect_corrupted_op(sp_pq):
     report = check_ring_axioms(sp_pq, members, add_op=class_and)
     assert not report.ok
     assert report.violation_count > 0
+
+
+# injected operations: the ring's own, one that stays among the members,
+# and two whose results leave the extension
+RING_OPS = {
+    "ring": None,
+    "and": class_and,
+    "not-iff": lambda a, b: class_not(class_iff(a, b)),
+    "nor": lambda a, b: class_not(class_or(a, b)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.sampled_from(("", "p", "~p", "p | q", "~q", "p & ~q")),
+    bit=st.integers(0, 1),
+    atoms=st.sampled_from((("p",), ("p", "q"))),
+    subset=st.integers(0, 255),
+    add_name=st.sampled_from(sorted(RING_OPS)),
+    mul_name=st.sampled_from(sorted(RING_OPS)),
+)
+# a sum outside the extension reaches the ring product
+@example(base="p", bit=0, atoms=("p", "q"), subset=255, add_name="not-iff", mul_name="ring")
+# a product outside the extension reaches the ring sum
+@example(base="p", bit=0, atoms=("p", "q"), subset=255, add_name="ring", mul_name="nor")
+def test_ring_audit_matches_the_direct_check(base, bit, atoms, subset, add_name, mul_name):
+    # member subsets are mostly not closed under the operations, so the
+    # tables also hold products of classes outside the element list
+    sp = lindenbaum_extend({cls(base)} if base else set(), bit)
+    members = _member_classes(sp, atoms)
+    elements = [c for k, c in enumerate(members) if subset >> k & 1]
+    ops = RING_OPS[add_name], RING_OPS[mul_name]
+    try:
+        expected = ring_audit_oracle(sp, elements, *ops)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            check_ring_axioms(sp, elements, *ops)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    report = check_ring_axioms(sp, elements, *ops)
+    assert report.laws == expected.laws
+    assert report.render() == expected.render()
 
 
 def test_report_render(sp_pq):
