@@ -20,7 +20,7 @@ from .deduction import (
     classical_rules_report,
     induce_interpretation,
 )
-from .errors import NotFound, ProofLabError, ResourceLimit
+from .errors import ProofLabError, ResourceLimit
 from .files import (
     proof_file_length,
     proof_file_text,
@@ -55,6 +55,7 @@ from .surgery import (
     format_path,
     parse_path,
     replace_subproof,
+    require_target,
 )
 
 
@@ -313,11 +314,8 @@ def _surgery(args) -> int:
     )
 
     if args.command == "extract":
-        if path is None:
-            if not occ:
-                raise NotFound(f"{sigma_class.text()} does not occur in the target")
-            path = occ[0]
-        _emit_proof(args, extract_subproof(target, path))
+        require_target(target, sigma_class, path)
+        _emit_proof(args, extract_subproof(target, occ[0] if path is None else path))
         return 0
 
     if args.command == "eliminate":

@@ -34,13 +34,7 @@ from .propclass import (
     entails,
     is_tautology,
 )
-from .proof import (
-    Justification,
-    ProofNode,
-    digest_hex,
-    normalize,
-    proof_eq,
-)
+from .proof import Justification, ProofNode, digest_hex, normalize, proof_eq
 from .sigma import FORMAL_ONE, ClassScalar, FormalOne, Scalar, SigmaPrime
 
 
@@ -159,10 +153,6 @@ class ModuleAxiomReport:
             lines.append("counterexamples:")
             lines.extend(extra)
         return "\n".join(lines)
-
-
-def _eq(a: ProofNode, b: ProofNode) -> bool:
-    return proof_eq(normalize(a), normalize(b))
 
 
 def _tag(*nodes: ProofNode) -> str:
@@ -293,32 +283,32 @@ def check_module_axioms(
     run(
         "sum-commutative",
         [pool, pool],
-        lambda a, b: _eq(add(a, b, sp), add(b, a, sp)),
+        lambda a, b: proof_eq(add(a, b, sp), add(b, a, sp)),
         lambda a, b: _tag(a, b),
     )
     run(
         "sum-neutral",
         [pool],
-        lambda a: _eq(add(a, neutral, sp), normalize(a)),
+        lambda a: proof_eq(add(a, neutral, sp), normalize(a)),
         lambda a: _tag(a),
     )
     run(
         "sum-involution",
         [pool],
-        lambda a: _eq(add(a, a, sp), neutral),
+        lambda a: proof_eq(add(a, a, sp), neutral),
         lambda a: _tag(a),
     )
     run(
         "sum-associative",
         [pool, pool, pool],
-        lambda a, b, c: _eq(add(add(a, b, sp), c, sp), add(a, add(b, c, sp), sp)),
+        lambda a, b, c: proof_eq(add(add(a, b, sp), c, sp), add(a, add(b, c, sp), sp)),
         lambda a, b, c: _tag(a, b, c),
         diagnostic=True,
     )
     run(
         "scalar-compose",
         [class_scalars, class_scalars, pool],
-        lambda s, t, r: _eq(
+        lambda s, t, r: proof_eq(
             scalar_mul(ClassScalar(class_or(s.payload, t.payload)), r, sp),
             scalar_mul(s, scalar_mul(t, r, sp), sp),
         ),
@@ -327,12 +317,12 @@ def check_module_axioms(
     run(
         "scalar-identity",
         [pool],
-        lambda r: _eq(scalar_mul(FORMAL_ONE, r, sp), normalize(r)),
+        lambda r: proof_eq(scalar_mul(FORMAL_ONE, r, sp), normalize(r)),
         lambda r: _tag(r),
     )
 
     def distributes(s: ClassScalar, a: ProofNode, b: ProofNode) -> bool:
-        return _eq(
+        return proof_eq(
             scalar_mul(s, add(a, b, sp), sp),
             add(scalar_mul(s, a, sp), scalar_mul(s, b, sp), sp),
         )
@@ -354,7 +344,7 @@ def check_module_axioms(
     run(
         "scalar-iff-splits",
         [class_scalars, class_scalars, pool],
-        lambda s, t, r: _eq(
+        lambda s, t, r: proof_eq(
             scalar_mul(ClassScalar(class_iff(s.payload, t.payload)), r, sp),
             add(scalar_mul(s, r, sp), scalar_mul(t, r, sp), sp),
         ),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .errors import InvalidInterpretation, ParseError
 from .formula import MAX_DEPTH
@@ -62,6 +62,34 @@ class ProofNode:
 Justification = Optional[frozenset[ProofNode]]
 
 
+def fold(r: ProofNode, visit: Callable[[ProofNode, Callable[[ProofNode], Any]], Any]) -> Any:
+    """Evaluate ``visit(node, value)`` bottom-up over ``r``, where
+    ``value(child)`` is the result already computed for a child.
+
+    A reading justifies each step by every step before it, so a built
+    proof shares its subtrees: each distinct node is visited once per
+    call, keyed on its identity. The walk keeps its own stack, since a
+    built proof is as deep as its deduction is long."""
+    memo: dict[int, Any] = {}
+
+    def value(node: ProofNode) -> Any:
+        return memo[id(node)]
+
+    stack = [r]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        todo = [c for c in node.children or () if id(c) not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        memo[id(node)] = visit(node, value)
+    return memo[id(r)]
+
+
 @lru_cache(maxsize=1 << 16)
 def canonical_serialize(r: ProofNode) -> str:
     """Order- and duplicate-insensitive text form of the tree."""
@@ -86,14 +114,23 @@ def proof_eq(a: ProofNode, b: ProofNode) -> bool:
     return canonical_serialize(a) == canonical_serialize(b)
 
 
-@lru_cache(maxsize=1 << 16)
+def rejustify(r: ProofNode, hit: Callable[[PropClass], bool], children: Justification) -> ProofNode:
+    """Give every node whose conclusion satisfies ``hit`` the
+    justification ``children``; ancestors rebuild with set semantics."""
+
+    def visit(node: ProofNode, value) -> ProofNode:
+        if hit(node.conclusion):
+            return ProofNode(node.conclusion, children)
+        if node.children is None:
+            return node
+        return ProofNode(node.conclusion, frozenset(map(value, node.children)))
+
+    return fold(r, visit)
+
+
 def normalize(r: ProofNode) -> ProofNode:
     """Rewrite every tautology-concluded node to premise form; idempotent."""
-    if is_tautology(r.conclusion):
-        return ProofNode(r.conclusion)
-    if r.children is None:
-        return r
-    return ProofNode(r.conclusion, frozenset(normalize(c) for c in r.children))
+    return rejustify(r, is_tautology, None)
 
 
 def sorted_children(r: ProofNode) -> list[ProofNode]:
@@ -111,9 +148,7 @@ def build_proof(
     Structural recursion from the final step: a premise index becomes a
     premise node, an index set becomes the set of its sub-proofs (equal
     subtrees collapse). A tautology step becomes a premise node as it is
-    built, so the result is normalized with one node object per step and
-    no lookup in the cache of :func:`normalize`, whose keys compare
-    equal proofs built by an earlier call node by node, as trees.
+    built, so the result is normalized with one node object per step.
     """
     if not validate_interpretation(d, phi, atom_cap):
         raise InvalidInterpretation("the assignment does not interpret this deduction")
@@ -140,25 +175,14 @@ def essentially_equal(
 
 
 def premises(r: ProofNode) -> frozenset[PropClass]:
-    """Conclusions of all premise-justified nodes in the tree.
-
-    A reading justifies each step by every step before it, so a built
-    proof shares its subtrees: each distinct node is visited once,
-    keyed on its identity."""
+    """Conclusions of all premise-justified nodes in the tree."""
     out: set[PropClass] = set()
-    seen: set[int] = set()
 
-    def walk(node: ProofNode) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
+    def visit(node: ProofNode, value) -> None:
         if node.children is None:
             out.add(node.conclusion)
-        else:
-            for c in node.children:
-                walk(c)
 
-    walk(r)
+    fold(r, visit)
     return frozenset(out)
 
 
@@ -288,26 +312,12 @@ def text_length(r: ProofNode, pretty: bool = False) -> int:
     """``len(canonical_serialize(r))``, or ``len(pretty_proof(r))`` with
     ``pretty``, without building either text.
 
-    Each distinct node is measured once, keyed on its identity, from
-    the measures of its children, so a built proof costs O(nodes +
-    child links) however long its text. The walk keeps its own stack,
-    since a built proof is as deep as its deduction is long."""
+    Each distinct node is measured once, from the measures of its
+    children, so a built proof costs O(nodes + child links) however
+    long its text."""
     measure = _pretty_measure if pretty else _canonical_measure
-    memo: dict[int, object] = {}
-    stack = [r]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        kids = node.children or ()
-        todo = [c for c in kids if id(c) not in memo]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        memo[id(node)] = measure(node, [memo[id(c)] for c in kids])
+    total = fold(r, lambda node, value: measure(node, [value(c) for c in node.children or ()]))
     if pretty:
-        lines, chars = memo[id(r)]
+        lines, chars = total
         return chars + lines - 1
-    return memo[id(r)]
+    return total

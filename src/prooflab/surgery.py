@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from .errors import BadPath, NotFound, PremiseDonor
 from .propclass import PropClass
-from .proof import ProofNode, digest_hex, normalize, sorted_children
+from .proof import ProofNode, canonical_serialize, digest_hex, fold, normalize, rejustify
+from .proof import sorted_children
 from .sigma import SigmaPrime
 
 ProofPath = tuple[str, ...]
@@ -64,35 +65,33 @@ def extract_subproof(r: ProofNode, path: ProofPath) -> ProofNode:
     return node
 
 
-def _rewrite_at(r: ProofNode, sigma: PropClass, new_children, path: ProofPath | None) -> ProofNode:
-    """Swap the justification of sigma-nodes; all of them, or only the
-    one addressed by ``path``. Ancestors rebuild with set semantics."""
+def require_target(r: ProofNode, sigma: PropClass, path: ProofPath | None) -> None:
+    """Raise :class:`NotFound` unless ``sigma`` occurs in ``r`` and
+    ``path``, when given, addresses a node concluding it."""
+    if not fold(r, lambda n, value: n.conclusion == sigma or any(map(value, n.children or ()))):
+        raise NotFound(f"{sigma.text()} does not occur in the target")
     if path is not None:
         target = extract_subproof(r, path)
         if target.conclusion != sigma:
-            raise NotFound(
-                f"path addresses {target.conclusion.text()}, not {sigma.text()}"
-            )
+            raise NotFound(f"path addresses {target.conclusion.text()}, not {sigma.text()}")
 
-        def along(node: ProofNode, rest: ProofPath) -> ProofNode:
-            if not rest:
-                return ProofNode(node.conclusion, new_children)
-            head, tail = rest[0], rest[1:]
-            rebuilt = set()
-            for c in node.children or ():
-                rebuilt.add(along(c, tail) if digest_hex(c).startswith(head) else c)
-            return ProofNode(node.conclusion, frozenset(rebuilt))
 
-        return along(r, path)
+def _rewrite_at(r: ProofNode, sigma: PropClass, new_children, path: ProofPath | None) -> ProofNode:
+    """Swap the justification of sigma-nodes; all of them, or only the
+    one addressed by ``path``. Ancestors rebuild with set semantics."""
+    if path is None:
+        return rejustify(r, lambda c: c == sigma, new_children)
 
-    def walk(node: ProofNode) -> ProofNode:
-        if node.conclusion == sigma:
+    def along(node: ProofNode, rest: ProofPath) -> ProofNode:
+        if not rest:
             return ProofNode(node.conclusion, new_children)
-        if node.children is None:
-            return node
-        return ProofNode(node.conclusion, frozenset(walk(c) for c in node.children))
+        head, tail = rest[0], rest[1:]
+        rebuilt = set()
+        for c in node.children or ():
+            rebuilt.add(along(c, tail) if digest_hex(c).startswith(head) else c)
+        return ProofNode(node.conclusion, frozenset(rebuilt))
 
-    return walk(r)
+    return along(r, path)
 
 
 def replace_subproof(
@@ -109,8 +108,7 @@ def replace_subproof(
     carry an actual justification, and the donor tree must live inside
     the extension.
     """
-    if not find_occurrences(r_h, sigma):
-        raise NotFound(f"{sigma.text()} does not occur in the target proof")
+    require_target(r_h, sigma, single_path)
     donor_paths = find_occurrences(r_k, sigma)
     if not donor_paths:
         raise NotFound(f"{sigma.text()} does not occur in the donor proof")
@@ -126,8 +124,7 @@ def eliminate_subproof(
 ) -> ProofNode:
     """Demote every occurrence of ``sigma`` (or the addressed one) to an
     unjustified premise."""
-    if not find_occurrences(r, sigma):
-        raise NotFound(f"{sigma.text()} does not occur in the proof")
+    require_target(r, sigma, single_path)
     return normalize(_rewrite_at(r, sigma, None, single_path))
 
 
@@ -135,17 +132,16 @@ def _require_members(r: ProofNode, sp: SigmaPrime) -> None:
     """Raise on the first non-member conclusion in canonical pre-order,
     so the class named does not depend on set iteration order.
 
-    A built proof shares its subtrees, so each distinct node is checked
-    once, keyed on its identity: a node met again had its whole subtree
-    checked the first time, or the walk would have stopped there."""
-    seen: set[int] = set()
+    Each distinct node reads its membership once; a member's value is
+    the first non-member of its children by canonical order, so only a
+    failing check sorts."""
 
-    def walk(node: ProofNode) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        sp.require_member(node.conclusion)
-        for c in sorted_children(node):
-            walk(c)
+    def visit(node: ProofNode, value) -> PropClass | None:
+        if not sp.member(node.conclusion):
+            return node.conclusion
+        bad = [c for c in node.children or () if value(c) is not None]
+        return value(min(bad, key=canonical_serialize)) if bad else None
 
-    walk(r)
+    bad = fold(r, visit)
+    if bad is not None:
+        sp.require_member(bad)  # raises NotMember naming it

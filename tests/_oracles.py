@@ -290,3 +290,44 @@ def restricted_domain_oracle(scalars, pool) -> list[tuple]:
         ) and keeps_justification(s, b)
 
     return [(s, a, b) for s in scalars for a in pool for b in pool if restricted_instance(s, a, b)]
+
+
+# --- proof walks as plain tree recursions ----------------------------------
+# The reference for proof.fold's callers: each walks the proof as a tree,
+# so it costs one visit per root-to-node path. Keep the inputs small.
+
+
+def normalize_oracle(r: ProofNode) -> ProofNode:
+    from prooflab import is_tautology
+
+    if is_tautology(r.conclusion):
+        return ProofNode(r.conclusion)
+    if r.children is None:
+        return r
+    return ProofNode(r.conclusion, frozenset(normalize_oracle(c) for c in r.children))
+
+
+def premises_oracle(r: ProofNode) -> frozenset[PropClass]:
+    if r.children is None:
+        return frozenset({r.conclusion})
+    return frozenset().union(*(premises_oracle(c) for c in r.children))
+
+
+def rewrite_oracle(r: ProofNode, sigma: PropClass, new_children) -> ProofNode:
+    """Every node concluding ``sigma`` takes ``new_children``."""
+    if r.conclusion == sigma:
+        return ProofNode(r.conclusion, new_children)
+    if r.children is None:
+        return r
+    return ProofNode(
+        r.conclusion, frozenset(rewrite_oracle(c, sigma, new_children) for c in r.children)
+    )
+
+
+def require_members_oracle(r: ProofNode, sp: SigmaPrime) -> None:
+    """``require_member`` on every conclusion in canonical pre-order."""
+    from prooflab import canonical_serialize
+
+    sp.require_member(r.conclusion)
+    for c in sorted(r.children or (), key=canonical_serialize):
+        require_members_oracle(c, sp)

@@ -15,6 +15,7 @@ from prooflab import (
     canonicalize,
     class_from_text,
     digest_hex,
+    format_path,
     lindenbaum_extend,
     parse,
     proof_eq,
@@ -335,6 +336,33 @@ def test_cli_empty_single_path_is_a_bad_path(capsys, tmp_path, command, path):
     assert (code, out) == (1, "")
     assert err == f"error: BadPath: empty digest in path {path!r}\n"
     assert not output.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "eliminate", "replace"])
+def test_cli_surgery_checks_the_class_at_the_path(capsys, tmp_path, sigma_file, command):
+    # the three commands refuse alike, and write nothing, when the class
+    # is absent or the path addresses another class
+    tree = node("p | q", node("p"), node("q | r", node("p & r")))
+    target, donor = str(tmp_path / "t.proof"), str(tmp_path / "d.proof")
+    write_proof_file(target, tree)
+    write_proof_file(donor, node("q | r", node("r")))
+    output = tmp_path / "out.proof"
+    argv = [command, "--target", target, "--sigma", sigma_file, "--output", str(output)]
+    if command == "replace":
+        argv += ["--donor", donor]
+    p_path = format_path((digest_hex(node("p")),))
+    cases = [
+        ("q | r", p_path, "path addresses [p;01], not [q,r;0111]"),
+        ("q | r", ".", "path addresses [p,q;0111], not [q,r;0111]"),
+        ("s", p_path, "[s;01] does not occur in the target"),
+        ("s", None, "[s;01] does not occur in the target"),
+    ]
+    for sigma, path, message in cases:
+        extra = [] if path is None else ["--single-path", path]
+        code, out, err = run_cli(capsys, *argv, "--sigma-class", sigma, *extra)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: NotFound: {message}\n")
+        assert not output.exists()
 
 
 def test_cli_replace_names_the_first_non_member_in_canonical_order(tmp_path, sigma_file):

@@ -8,8 +8,10 @@ from prooflab import (
     Deduction,
     Interpretation,
     InvalidInterpretation,
+    NotMember,
     ParseError,
     ProofNode,
+    PropClass,
     TAUTOLOGY,
     add,
     all_classes,
@@ -34,9 +36,18 @@ from prooflab import (
 
 from prooflab.files import proof_file_length, proof_file_text
 from prooflab.formula import MAX_DEPTH
-from prooflab.proof import _pretty_class_length, pretty_class, pretty_proof, text_length
+from prooflab.proof import _pretty_class_length, fold, pretty_class, pretty_proof, text_length
+from prooflab.surgery import _require_members, _rewrite_at
 
-from _oracles import random_member_class, random_proof, random_valid_deduction
+from _oracles import (
+    normalize_oracle,
+    premises_oracle,
+    random_member_class,
+    random_proof,
+    random_valid_deduction,
+    require_members_oracle,
+    rewrite_oracle,
+)
 
 
 def cls(text):
@@ -307,3 +318,61 @@ def test_text_length_is_the_length_of_the_written_text(seed):
     for r in proofs:
         assert proof_file_length(r) == len(proof_file_text(r))
         assert text_length(r, pretty=True) + 1 == len(pretty_proof(r) + "\n")
+
+
+def _not_member_message(f, *args):
+    try:
+        f(*args)
+    except NotMember as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_folds_match_tree_walks(seed):
+    # the same input kinds as the length test, plus a tautology node
+    # with children, which normalize turns into a premise
+    rng = random.Random(seed)
+    atoms = ["p", "q", "x01"]
+    base = frozenset(cls(rng.choice(atoms)) for _ in range(rng.randint(0, 2)))
+    sp = lindenbaum_extend(base, rng.randint(0, 1))
+    other = lindenbaum_extend(frozenset({cls(rng.choice(["~p", "~q", "p & ~x01"]))}), 0)
+    d = random_valid_deduction(rng, sp, atoms, max_steps=7)
+    built = build_proof(d, induce_interpretation(d))
+    classes = [random_member_class(rng, sp, atoms) for _ in range(6)]
+    a, b = (random_proof(rng, sp, classes, depth=3) for _ in range(2))
+    proofs = [
+        built,
+        parse_proof(canonical_serialize(a)),
+        add(a, b, sp),
+        ProofNode(a.conclusion, frozenset({ProofNode(TAUTOLOGY, frozenset({b})), built})),
+    ]
+    if not built.is_premise:
+        donor = ProofNode(built.conclusion, frozenset({a, b}))
+        proofs.append(replace_subproof(built, built.conclusion, donor, sp))
+    for r in proofs:
+        assert canonical_serialize(normalize(r)) == canonical_serialize(normalize_oracle(r))
+        assert premises(r) == premises_oracle(r)
+        candidates = premises_oracle(r) | {r.conclusion, a.conclusion}
+        sigma = rng.choice(sorted(candidates, key=PropClass.text))
+        for new in (None, b.children, frozenset({a})):
+            expected = canonical_serialize(rewrite_oracle(r, sigma, new))
+            assert canonical_serialize(_rewrite_at(r, sigma, new, None)) == expected
+        for ext in (sp, other):
+            expected = _not_member_message(require_members_oracle, r, ext)
+            assert _not_member_message(_require_members, r, ext) == expected
+
+
+def test_fold_visits_each_distinct_node_once(sp_p):
+    # an 18-step chain proof: 18 distinct nodes, 2**17 root-to-leaf paths
+    d = ded(sp_p, "p", *["p | q"] * 17)
+    r = build_proof(d, induce_interpretation(d))
+    visited = []
+
+    def depth(node, value):
+        visited.append(node)
+        return 1 + max(map(value, node.children or ()), default=0)
+
+    assert fold(r, depth) == 18
+    assert len(visited) == len({id(n) for n in visited}) == 18

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from prooflab import (
@@ -9,6 +11,7 @@ from prooflab import (
     ProofNode,
     SigmaPrime,
     build_proof,
+    canonical_serialize,
     canonicalize,
     digest_hex,
     eliminate_subproof,
@@ -24,6 +27,7 @@ from prooflab import (
     proof_eq,
     replace_subproof,
 )
+from prooflab.proof import text_length
 from prooflab.surgery import _require_members
 
 
@@ -205,10 +209,36 @@ def test_require_members_checks_each_distinct_node_once(monkeypatch):
     d = Deduction((cls("p"),) + (cls("p | q"),) * 17, base_sp)
     r = build_proof(d, induce_interpretation(d))
     checked = []
-    real = SigmaPrime.require_member
-    monkeypatch.setattr(
-        SigmaPrime, "require_member", lambda self, c: checked.append(c) or real(self, c)
-    )
+    real = SigmaPrime.member
+    monkeypatch.setattr(SigmaPrime, "member", lambda self, c: checked.append(c) or real(self, c))
     _require_members(r, base_sp)
     assert len(checked) == 18
     assert set(checked) == {cls("p"), cls("p | q")}
+
+
+def test_require_members_names_the_first_non_member_in_canonical_pre_order(sp):
+    # [~p], [~q] and [~s] lie outside the extension (witness p=q=s=1);
+    # [~s] sits at two depths and [~q] below a node shared by two parents
+    shared = node("p & q", node("~q"))
+    tree = node(
+        "p | q",
+        node("q", shared, node("~s")),
+        node("s", node("~p"), shared),
+        node("~s"),
+    )
+    # canonical pre-order: [p,q;0111], [q;01], [p,q;0001], [q;10], ...
+    with pytest.raises(NotMember, match=re.escape("[q;10] is not in the extension")):
+        _require_members(tree, sp)
+
+
+def test_proof_walks_finish_on_a_200_step_chain():
+    # 200 distinct nodes and 2**199 root-to-leaf paths: a walk over the
+    # tree instead of the distinct nodes does not finish; no timing gate
+    sp = lindenbaum_extend({cls("p")}, 0)
+    d = Deduction((cls("p"),) + (cls("p | q"),) * 199, sp)
+    r = build_proof(d, induce_interpretation(d))
+    assert normalize(r).conclusion == cls("p | q")
+    assert premises(normalize(r)) == premises(r) == frozenset({cls("p")})
+    assert text_length(r) > 1 << 199
+    _require_members(r, sp)
+    assert canonical_serialize(eliminate_subproof(r, cls("p | q"))) == "{[p,q;0111],{0}}"
