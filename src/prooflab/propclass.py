@@ -44,14 +44,33 @@ class PropClass:
     support: tuple[str, ...]
     bits: int
 
+    # every cache and intern key hashes classes, so the hash is stored;
+    # its value is the field-tuple hash a frozen dataclass would compute
+    __slots__ = ("support", "bits", "_hash")
+
     def __init__(self, support: tuple[str, ...], table: tuple[int, ...]):
         _check_shape(support, len(table))
         if any(b not in (0, 1) for b in table):
             raise ValueError("table entries must be bits")
         bits = sum(1 << m for m, b in enumerate(table) if b)
         _check_essential(support, bits)
-        object.__setattr__(self, "support", tuple(support))
-        object.__setattr__(self, "bits", bits)
+        _fill(self, tuple(support), bits)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not PropClass:
+            return NotImplemented
+        return (
+            self._hash == other._hash and self.bits == other.bits and self.support == other.support
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # the hash of a str differs between processes: recompute it
+        return _make, (self.support, self.bits)
 
     @property
     def table(self) -> tuple[int, ...]:
@@ -95,9 +114,21 @@ def _check_essential(support: Sequence[str], bits: int) -> None:
 def _make(support: tuple[str, ...], bits: int) -> PropClass:
     """A class from a table already known to be canonical."""
     c = object.__new__(PropClass)
-    object.__setattr__(c, "support", support)
-    object.__setattr__(c, "bits", bits)
+    _fill(c, support, bits)
     return c
+
+
+# assignment through a class raises, so its slots are written through
+# their descriptors
+_set_support = PropClass.support.__set__
+_set_bits = PropClass.bits.__set__
+_set_hash = PropClass._hash.__set__
+
+
+def _fill(c: PropClass, support: tuple[str, ...], bits: int) -> None:
+    _set_support(c, support)
+    _set_bits(c, bits)
+    _set_hash(c, hash((support, bits)))
 
 
 def _columns(n: int) -> tuple[int, ...]:

@@ -52,6 +52,49 @@ def find_occurrences(r: ProofNode, sigma: PropClass) -> list[ProofPath]:
     return sorted(hits, key=lambda p: (len(p), p))
 
 
+def _first_occurrence(r: ProofNode, sigma: PropClass) -> ProofNode | None:
+    """The node at ``find_occurrences(r, sigma)[0]``, or None, found
+    level by level over distinct nodes without listing paths.
+
+    Level d holds the nodes whose shortest path has d steps; the search
+    stops at the first level with a hit. Only a tie there reads digests,
+    and only those of the hits and of their ancestors in the levels
+    above."""
+    parents: dict[ProofNode, list[ProofNode]] = {r: []}  # each one level up
+    level = [r]
+    while level:
+        hits = [node for node in level if node.conclusion == sigma]
+        if len(hits) > 1:
+            return min(hits, key=_smallest_paths(hits, parents).__getitem__)
+        if hits:
+            return hits[0]
+        below: dict[ProofNode, list[ProofNode]] = {}
+        for node in level:
+            for c in node.children or ():
+                if c not in parents:
+                    below.setdefault(c, []).append(node)
+        parents.update(below)
+        level = list(below)
+    return None
+
+
+def _smallest_paths(
+    hits: list[ProofNode], parents: dict[ProofNode, list[ProofNode]]
+) -> dict[ProofNode, ProofPath]:
+    """The smallest shortest digest path to each node of one level and
+    to each of its ancestors above it. A shortest path runs through
+    nodes that are all at their own level, so a node's smallest one
+    extends the smallest of its parents' one level up."""
+    layers = [hits]
+    while parents[layers[-1][0]]:
+        layers.append(list(dict.fromkeys(p for node in layers[-1] for p in parents[node])))
+    paths: dict[ProofNode, ProofPath] = {layers[-1][0]: ()}
+    for layer in reversed(layers[:-1]):
+        for node in layer:
+            paths[node] = min(paths[p] for p in parents[node]) + (digest_hex(node),)
+    return paths
+
+
 def extract_subproof(r: ProofNode, path: ProofPath) -> ProofNode:
     """The subtree addressed by ``path``, unchanged."""
     node = r
@@ -104,15 +147,14 @@ def replace_subproof(
     """Graft the donor justification for ``sigma`` from ``r_k`` onto every
     occurrence of ``sigma`` in ``r_h`` (or just the addressed one).
 
-    The donor is the first occurrence of ``sigma`` in ``r_k``; it must
-    carry an actual justification, and the donor tree must live inside
-    the extension.
+    The donor is the first occurrence of ``sigma`` in ``r_k``, the one
+    :func:`find_occurrences` lists first; it must carry an actual
+    justification, and the donor tree must live inside the extension.
     """
     require_target(r_h, sigma, single_path)
-    donor_paths = find_occurrences(r_k, sigma)
-    if not donor_paths:
+    donor = _first_occurrence(r_k, sigma)
+    if donor is None:
         raise NotFound(f"{sigma.text()} does not occur in the donor proof")
-    donor = extract_subproof(r_k, donor_paths[0])
     if donor.is_premise:
         raise PremiseDonor(f"the donor occurrence of {sigma.text()} is a bare premise")
     _require_members(r_k, sp)

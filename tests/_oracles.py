@@ -331,3 +331,72 @@ def require_members_oracle(r: ProofNode, sp: SigmaPrime) -> None:
     sp.require_member(r.conclusion)
     for c in sorted(r.children or (), key=canonical_serialize):
         require_members_oracle(c, sp)
+
+
+# --- the recursive proof parser ----------------------------------------------
+# The reference for parse_proof's scan: one call per node and a slice per
+# class text, checking each part of a node in text order.
+
+
+def parse_proof_oracle(text: str) -> ProofNode:
+    from prooflab import ParseError
+
+    node, end = _parse_node_oracle(text, 0, 0)
+    if text[end:].strip():
+        raise ParseError("trailing data after proof", end)
+    return node
+
+
+def _parse_node_oracle(text: str, i: int, depth: int) -> tuple[ProofNode, int]:
+    from prooflab import ParseError
+    from prooflab.formula import MAX_DEPTH
+    from prooflab.propclass import class_from_text
+
+    if i >= len(text) or text[i] != "{":
+        raise ParseError("expected '{'", i)
+    if depth > MAX_DEPTH:
+        raise ParseError(f"nested deeper than {MAX_DEPTH} levels", i)
+    i += 1
+    if i >= len(text) or text[i] != "[":
+        raise ParseError("expected a class text '['", i)
+    close = text.find("]", i)
+    if close < 0:
+        raise ParseError("unterminated class text", i)
+    conclusion = class_from_text(text[i : close + 1])
+    i = close + 1
+    if text[i : i + 1] != ",":
+        raise ParseError("expected ',' after the conclusion", i)
+    i += 1
+    if text[i : i + 3] == "{0}":
+        node = ProofNode(conclusion)
+        i += 3
+    elif text[i : i + 1] == "{":
+        i += 1
+        kids = []
+        while True:
+            child, i = _parse_node_oracle(text, i, depth + 1)
+            kids.append(child)
+            if text[i : i + 1] == ",":
+                i += 1
+                continue
+            if text[i : i + 1] == "}":
+                i += 1
+                break
+            raise ParseError("expected ',' or '}' in a child set", i)
+        node = ProofNode(conclusion, frozenset(kids))
+    else:
+        raise ParseError("expected a justification", i)
+    if text[i : i + 1] != "}":
+        raise ParseError("expected '}' closing the node", i)
+    return node, i + 1
+
+
+def scrambled_text(rng: random.Random, r: ProofNode) -> str:
+    """A serialization of ``r`` with every child set in random order and
+    some children repeated: a valid text that is not canonical."""
+    if r.children is None:
+        return "{%s,{0}}" % r.conclusion.text()
+    kids = list(r.children)
+    kids += [rng.choice(kids) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(kids)
+    return "{%s,{%s}}" % (r.conclusion.text(), ",".join(scrambled_text(rng, c) for c in kids))

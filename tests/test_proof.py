@@ -1,3 +1,5 @@
+import gc
+import pickle
 import random
 from itertools import product
 
@@ -34,19 +36,28 @@ from prooflab import (
     representative,
 )
 
-from prooflab.files import proof_file_length, proof_file_text
+from prooflab.files import proof_file_length, proof_file_text, read_proof_text
 from prooflab.formula import MAX_DEPTH
-from prooflab.proof import _pretty_class_length, fold, pretty_class, pretty_proof, text_length
+from prooflab.proof import (
+    _NODES,
+    _pretty_class_length,
+    fold,
+    pretty_class,
+    pretty_proof,
+    text_length,
+)
 from prooflab.surgery import _require_members, _rewrite_at
 
 from _oracles import (
     normalize_oracle,
+    parse_proof_oracle,
     premises_oracle,
     random_member_class,
     random_proof,
     random_valid_deduction,
     require_members_oracle,
     rewrite_oracle,
+    scrambled_text,
 )
 
 
@@ -248,7 +259,7 @@ def test_parse_proof_round_trip():
     )
     text = canonical_serialize(tree)
     assert canonical_serialize(parse_proof(text)) == text
-    assert parse_proof(text) == tree
+    assert parse_proof(text) is tree
 
 
 @pytest.mark.parametrize(
@@ -283,6 +294,124 @@ def test_parse_proof_depth_limit():
         parse_proof(nested_proof_text(MAX_DEPTH + 1))
     # at the premise's "{", below MAX_DEPTH + 1 wrappers "{[p;01],{"
     assert exc.value.position == 9 * (MAX_DEPTH + 1)
+
+
+def _random_proofs(rng, count):
+    """Built, random and summed proofs over a random extension."""
+    atoms = ["p", "q", "x01"]
+    base = frozenset(cls(rng.choice(atoms)) for _ in range(rng.randint(0, 2)))
+    sp = lindenbaum_extend(base, rng.randint(0, 1))
+    d = random_valid_deduction(rng, sp, atoms, max_steps=7)
+    classes = [random_member_class(rng, sp, atoms) for _ in range(6)]
+    pool = [random_proof(rng, sp, classes, depth=3) for _ in range(count)]
+    return [build_proof(d, induce_interpretation(d)), add(pool[0], pool[-1], sp)] + pool
+
+
+def _parse_outcome(parser, text):
+    try:
+        return canonical_serialize(parser(text))
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.position)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_parse_proof_matches_the_recursive_parser_on_valid_texts(seed):
+    # child sets in any order, with repeats, and wrapped over lines the
+    # way a proof file may hold them
+    rng = random.Random(seed)
+    for r in _random_proofs(rng, 3):
+        text = scrambled_text(rng, r)
+        assert canonical_serialize(parse_proof(text)) == canonical_serialize(r)
+        assert parse_proof(text) is parse_proof_oracle(text) is r
+        cuts = sorted(rng.sample(range(len(text) + 1), k=min(4, len(text) + 1)))
+        lines = [text[a:b] for a, b in zip([0] + cuts, cuts + [len(text)])]
+        wrapped = "format: 1\n" + "\n".join("  " * rng.randint(0, 2) + line for line in lines)
+        assert read_proof_text(wrapped) is parse_proof_oracle(text)
+
+
+_MUTATION_CHARS = "{}[],;01pq~x "
+
+
+def _mutated(rng, text):
+    """``text`` after one to three random edits of a kind a damaged file
+    shows: a deleted, inserted, replaced or repeated span, or a cut."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 4))
+        kind = rng.randrange(5)
+        if kind == 0:
+            text = text[:i] + text[j:]
+        elif kind == 1:
+            text = text[:i] + rng.choice(_MUTATION_CHARS) + text[i:]
+        elif kind == 2:
+            text = text[:i] + rng.choice(_MUTATION_CHARS) + text[i + 1 :]
+        elif kind == 3:
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_parse_proof_matches_the_recursive_parser_on_damaged_texts(seed):
+    rng = random.Random(seed)
+    texts = [scrambled_text(rng, r) for r in _random_proofs(rng, 2)]
+    texts.append(nested_proof_text(MAX_DEPTH + rng.randint(-1, 1)))
+    for text in texts:
+        for _ in range(5):
+            bad = _mutated(rng, text)
+            assert _parse_outcome(parse_proof, bad) == _parse_outcome(parse_proof_oracle, bad)
+
+
+def test_equal_nodes_are_one_object():
+    a = ProofNode(cls("p | q"), frozenset({ProofNode(cls("p")), ProofNode(cls("q"))}))
+    kids = [ProofNode(cls("q")), ProofNode(cls("p")), ProofNode(cls("q"))]
+    b = ProofNode(cls("q | p"), frozenset(kids))
+    assert a is b
+    assert ProofNode(cls("p")) is ProofNode(cls("p"), None)
+    assert ProofNode(cls("p")) is not ProofNode(cls("q"))
+    with pytest.raises(AttributeError):
+        a.conclusion = cls("q")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_hashes_are_the_field_tuple_hashes(seed):
+    # set iteration order, and with it every output, follows these values
+    rng = random.Random(seed)
+    for r in _random_proofs(rng, 3):
+        nodes = []
+        fold(r, lambda node, value: nodes.append(node))
+        for node in nodes:
+            assert hash(node) == hash((node.conclusion, node.children))
+            c = node.conclusion
+            assert hash(c) == hash((c.support, c.bits))
+
+
+def test_pickling_a_node_gives_the_same_node(sp_p):
+    d = ded(sp_p, "p", "p | q", "p | q | r", "p | q")
+    r = build_proof(d, induce_interpretation(d))
+    canonical_serialize(r)  # a node pickles as its content, caches left out
+    assert pickle.loads(pickle.dumps(r)) is r
+    c = pickle.loads(pickle.dumps(cls("p | ~q")))
+    assert c == cls("p | ~q") and hash(c) == hash(cls("p | ~q"))
+
+
+def test_a_dropped_proof_leaves_the_intern_table():
+    # atoms no other test uses, so no live proof shares these classes
+    sp = lindenbaum_extend({cls("gc_a")}, 0)
+    d = ded(sp, "gc_a", "gc_a | gc_b", "gc_a | gc_b | gc_c", "gc_a | gc_b")
+    r = build_proof(d, induce_interpretation(d))
+    s = replace_subproof(parse_proof(canonical_serialize(r)), cls("gc_a | gc_b"), r, sp)
+    digest(s), normalize(ProofNode(TAUTOLOGY, frozenset({s}))), premises(s)
+    assert any("gc_a" in key[0].support for key in _NODES)
+    del r, s
+    # the caches make no reference cycle, so reference counts free it all
+    assert not any("gc_a" in key[0].support for key in _NODES)
+    gc.collect()
+    assert not any("gc_a" in key[0].support for key in _NODES)
 
 
 def test_digest_hex_stable():

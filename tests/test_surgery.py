@@ -1,6 +1,8 @@
+import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prooflab import (
     BadPath,
@@ -28,7 +30,9 @@ from prooflab import (
     replace_subproof,
 )
 from prooflab.proof import text_length
-from prooflab.surgery import _require_members
+from prooflab.surgery import _first_occurrence, _require_members
+
+from _oracles import random_member_class, random_proof
 
 
 def cls(text):
@@ -76,6 +80,21 @@ def test_find_occurrences_two_depths():
         return (n.conclusion == cls("p")) + sum(count(c) for c in n.children or ())
 
     assert count(tree) == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_donor_search_picks_the_first_listed_occurrence(seed):
+    # conclusions drawn from a small pool repeat within and across levels
+    rng = random.Random(seed)
+    sp = lindenbaum_extend({cls("p")}, 0)
+    atoms = ["p", "q", "r"]
+    classes = [random_member_class(rng, sp, atoms) for _ in range(4)]
+    r = random_proof(rng, sp, classes, depth=4)
+    for sigma in classes + [cls("~p")]:
+        occ = find_occurrences(r, sigma)
+        expected = extract_subproof(r, occ[0]) if occ else None
+        assert _first_occurrence(r, sigma) is expected
 
 
 def test_extract(target, donor):
@@ -242,3 +261,6 @@ def test_proof_walks_finish_on_a_200_step_chain():
     assert text_length(r) > 1 << 199
     _require_members(r, sp)
     assert canonical_serialize(eliminate_subproof(r, cls("p | q"))) == "{[p,q;0111],{0}}"
+    # the donor search stops at the first depth that holds [p]
+    with pytest.raises(PremiseDonor):
+        replace_subproof(r, cls("p"), r, sp)
