@@ -9,9 +9,13 @@ Grammar (whitespace insignificant)::
     unary   := "~" unary | atom | "(" formula ")"
     atom    := [a-z][a-z0-9_]*
 
+One precedence-climbing loop reads the three binary rules from an
+operator table that gives each operator its binding strength.
 ``<->`` is parser sugar only: ``a <-> b`` desugars to
 ``(~a | b) & (~b | a)``, so the AST carries exactly the three
-connectives ~, &, |.  Binary operators associate to the left.
+connectives ~, &, |.  Binary operators associate to the left. A node
+adds one level to the deeper of its operands, and a ``<->`` node three,
+those of its desugared form.
 
 The one grammar builds into any algebra (:meth:`Scanned.build`):
 :func:`parse` builds the AST, and ``propclass.canonicalize_text``
@@ -155,8 +159,11 @@ def atoms_of(f: Formula) -> set[str]:
 # one-character token outside _ONE_CHAR_TOKENS
 _TOKEN_RE = re.compile(r"\s*([a-z][a-z0-9_]*|<->|[~&|()]|\S)")
 _ONE_CHAR_TOKENS = frozenset("abcdefghijklmnopqrstuvwxyz~&|()")
+# per binary operator: its binding strength, the algebra function that
+# builds its node, and the levels that node adds
+_BINARY = {"<->": (0, "iff", 3), "|": (1, "disj", 1), "&": (2, "conj", 1)}
 # the tokens that are not atoms; "" marks the end of input
-_SYMBOLS = frozenset(("<->", "~", "&", "|", "(", ")", ""))
+_SYMBOLS = frozenset(_BINARY).union(("~", "(", ")", ""))
 # how error messages name the tokens the grammar requires
 _KIND = {")": "rpar", "": "eof"}
 
@@ -206,13 +213,14 @@ class Scanned:
 
 
 class _Descent:
-    """Recursive descent; each grammar rule returns a value and its level.
+    """Precedence climbing (Clarke 1986): one loop, :meth:`binary`, reads
+    every binary operator from ``_BINARY``; it and :meth:`unary` return
+    a value and its level.
 
     Both the open ``(`` and ``~`` around the current token and the level
     of every node built are held to ``MAX_DEPTH``: the first bounds the
     parser's own recursion, the second every later walk of the tree
-    (a left fold ``p & p & ...`` is deep without any nesting). ``<->``
-    counts three levels, those of its desugared form."""
+    (a left fold ``p & p & ...`` is deep without any nesting)."""
 
     def __init__(self, scanned: Scanned, atom, neg, conj, disj, iff):
         self.scanned = scanned
@@ -222,7 +230,7 @@ class _Descent:
         self.atom, self.neg, self.conj, self.disj, self.iff = atom, neg, conj, disj, iff
 
     def run(self):
-        value = self.formula()[0]
+        value = self.binary(*self.unary(), 0)[0]
         self.take("")
         return value
 
@@ -238,41 +246,21 @@ class _Descent:
             self.fail(f"expected {_KIND[token]}, found {found or 'end of input'!r}", self.i)
         self.i += 1
 
-    def formula(self):
-        value, depth = self.disjunction()
+    def binary(self, value, depth: int, floor: int):
+        """``value``, of level ``depth``, joined left to right with the
+        operands of the operators that bind at least ``floor`` strongly.
+        An operand is one unary, or more when a stronger operator follows
+        it."""
         tokens = self.tokens
-        while tokens[self.i] == "<->":
-            k = self.i
-            self.i += 1
-            rhs, rdepth = self.disjunction()
-            value = self.iff(value, rhs)
-            depth = max(depth, rdepth) + 3
-            if depth > MAX_DEPTH:
-                self.too_deep(k)
-        return value, depth
-
-    def disjunction(self):
-        value, depth = self.conjunction()
-        tokens = self.tokens
-        while tokens[self.i] == "|":
-            k = self.i
-            self.i += 1
-            rhs, rdepth = self.conjunction()
-            value = self.disj(value, rhs)
-            depth = max(depth, rdepth) + 1
-            if depth > MAX_DEPTH:
-                self.too_deep(k)
-        return value, depth
-
-    def conjunction(self):
-        value, depth = self.unary()
-        tokens = self.tokens
-        while tokens[self.i] == "&":
+        while (op := _BINARY.get(tokens[self.i])) is not None and op[0] >= floor:
+            strength, name, levels = op
             k = self.i
             self.i += 1
             rhs, rdepth = self.unary()
-            value = self.conj(value, rhs)
-            depth = max(depth, rdepth) + 1
+            if (after := _BINARY.get(tokens[self.i])) is not None and after[0] > strength:
+                rhs, rdepth = self.binary(rhs, rdepth, strength + 1)
+            value = getattr(self, name)(value, rhs)
+            depth = max(depth, rdepth) + levels
             if depth > MAX_DEPTH:
                 self.too_deep(k)
         return value, depth
@@ -295,7 +283,7 @@ class _Descent:
             if depth > MAX_DEPTH:
                 self.too_deep(k)
         else:
-            value, depth = self.formula()
+            value, depth = self.binary(*self.unary(), 0)
             self.take(")")
         self.open -= 1
         return value, depth

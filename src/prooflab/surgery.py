@@ -18,12 +18,15 @@ from .sigma import SigmaPrime
 
 ProofPath = tuple[str, ...]
 
+# hex digits of each digest that format_path prints
+PATH_PREFIX_LEN = 12
 
-def format_path(path: ProofPath, prefix_len: int = 12) -> str:
+
+def format_path(path: ProofPath) -> str:
     """Slash-joined digest prefixes; the root path prints as '.'."""
     if not path:
         return "."
-    return "/".join(d[:prefix_len] for d in path)
+    return "/".join(d[:PATH_PREFIX_LEN] for d in path)
 
 
 def parse_path(text: str) -> ProofPath:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from prooflab import And, Atom, Deduction, Not, Or, ProofNode, PropClass, SigmaPrime
+from prooflab import And, Atom, Deduction, Not, Or, ParseError, ProofNode, PropClass, SigmaPrime
+from prooflab.formula import MAX_DEPTH, Scanned, fold
 
 
 def eval_bool(f, assignment: dict[str, int], default: int = 0) -> int:
@@ -400,3 +401,123 @@ def scrambled_text(rng: random.Random, r: ProofNode) -> str:
     kids += [rng.choice(kids) for _ in range(rng.randint(0, 2))]
     rng.shuffle(kids)
     return "{%s,{%s}}" % (r.conclusion.text(), ",".join(scrambled_text(rng, c) for c in kids))
+
+
+# --- the formula grammar, one method per rule ----------------------------------
+# The reference for formula._Descent's precedence loop: recursive descent
+# with one method per binary rule, each with its own level check, run on
+# the tokens of prooflab's Scanned.
+
+
+class DescentOracle:
+    SYMBOLS = frozenset(("<->", "~", "&", "|", "(", ")", ""))
+    KIND = {")": "rpar", "": "eof"}
+
+    def __init__(self, scanned, atom, neg, conj, disj, iff):
+        self.scanned = scanned
+        self.tokens = scanned.tokens
+        self.i = 0
+        self.open = 0
+        self.atom, self.neg, self.conj, self.disj, self.iff = atom, neg, conj, disj, iff
+
+    def run(self):
+        value = self.formula()[0]
+        self.take("")
+        return value
+
+    def fail(self, message: str, k: int):
+        raise ParseError(message, self.scanned.position(k))
+
+    def too_deep(self, k: int):
+        self.fail(f"nested deeper than {MAX_DEPTH} levels", k)
+
+    def take(self, token: str) -> None:
+        found = self.tokens[self.i]
+        if found != token:
+            self.fail(f"expected {self.KIND[token]}, found {found or 'end of input'!r}", self.i)
+        self.i += 1
+
+    def formula(self):
+        value, depth = self.disjunction()
+        while self.tokens[self.i] == "<->":
+            k = self.i
+            self.i += 1
+            rhs, rdepth = self.disjunction()
+            value = self.iff(value, rhs)
+            depth = max(depth, rdepth) + 3
+            if depth > MAX_DEPTH:
+                self.too_deep(k)
+        return value, depth
+
+    def disjunction(self):
+        value, depth = self.conjunction()
+        while self.tokens[self.i] == "|":
+            k = self.i
+            self.i += 1
+            rhs, rdepth = self.conjunction()
+            value = self.disj(value, rhs)
+            depth = max(depth, rdepth) + 1
+            if depth > MAX_DEPTH:
+                self.too_deep(k)
+        return value, depth
+
+    def conjunction(self):
+        value, depth = self.unary()
+        while self.tokens[self.i] == "&":
+            k = self.i
+            self.i += 1
+            rhs, rdepth = self.unary()
+            value = self.conj(value, rhs)
+            depth = max(depth, rdepth) + 1
+            if depth > MAX_DEPTH:
+                self.too_deep(k)
+        return value, depth
+
+    def unary(self):
+        k = self.i
+        token = self.tokens[k]
+        if token not in self.SYMBOLS:
+            self.i = k + 1
+            return self.atom(token), 0
+        if token != "~" and token != "(":
+            self.fail(f"expected a formula, found {token or 'end of input'!r}", k)
+        self.i = k + 1
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            self.too_deep(k)
+        if token == "~":
+            child, depth = self.unary()
+            value, depth = self.neg(child), depth + 1
+            if depth > MAX_DEPTH:
+                self.too_deep(k)
+        else:
+            value, depth = self.formula()
+            self.take(")")
+        self.open -= 1
+        return value, depth
+
+
+def _iff_oracle(a, b):
+    return And(Or(Not(a), b), Or(Not(b), a))
+
+
+def parse_oracle(text: str):
+    """The AST of ``text`` by the one-method-per-rule grammar."""
+    return DescentOracle(Scanned(text), Atom, Not, And, Or, _iff_oracle).run()
+
+
+def subtree_number(f, table: dict) -> int:
+    """``f`` as a number: equal subtrees get equal numbers within one
+    ``table``. A fold that visits each shared subtree once, since ``==``
+    on a parsed ``<->`` chain walks it as a tree."""
+
+    def number(*key):
+        return table.setdefault(key, len(table))
+
+    return fold(
+        f,
+        lambda name: number("atom", name),
+        lambda x: number("~", x),
+        lambda x, y: number("&", x, y),
+        lambda x, y: number("|", x, y),
+    )

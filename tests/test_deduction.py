@@ -57,6 +57,7 @@ def test_check_deduction_collapsed_membership(sp_p):
     sp = lindenbaum_extend({cls("p & q")}, 0)
     report = check_deduction(ded(sp, "p & q", "p", "p | r"))
     assert report.valid
+    assert report.first_invalid is None
     assert [s.clause for s in report.steps] == ["a", "a", "a"]
     assert [s.base for s in report.steps] == ["a", "b", "b"]
 
@@ -120,6 +121,9 @@ def test_omega_examples(sp_pq):
     assert omega(d, 1) == frozenset()
     d2 = ded(sp_pq, "p", "p | q")
     assert omega(d2, 2) == frozenset({frozenset({1})})
+    for u in (0, 3):
+        with pytest.raises(ValueError, match=f"step index {u} out of range"):
+            omega(d2, u)
 
 
 def test_omega_matches_brute_force(sp_p):
@@ -165,6 +169,8 @@ def test_nth_prime_and_gamma():
     assert gamma({4}) == 7
     with pytest.raises(ValueError):
         gamma(set())
+    with pytest.raises(ValueError, match="prime index must be positive"):
+        nth_prime(0)
 
 
 def test_gamma_injective_up_to_twelve():
@@ -244,6 +250,15 @@ def test_validate_interpretation_rejections(sp_p):
     # accepting case: the index set reaches the step by conjunction
     d3 = ded(sp_p, "p", "p | s")
     assert validate_interpretation(d3, Interpretation({1: 0, 2: frozenset({1})}))
+    # past a member premise: an empty index set, or one naming the step
+    # itself or a later one
+    for bad in (frozenset(), frozenset({2}), frozenset({1, 3})):
+        assert not validate_interpretation(d3, Interpretation({1: 0, 2: bad}))
+
+
+def test_deduction_needs_a_step(sp_p):
+    with pytest.raises(ValueError, match="a deduction needs at least one step"):
+        Deduction((), sp_p)
 
 
 def test_checker_matches_oracle_on_mutants(sp_p):

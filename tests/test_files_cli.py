@@ -20,7 +20,7 @@ from prooflab import (
     parse,
     proof_eq,
 )
-from prooflab.cli import _build_parser, run
+from prooflab.cli import _build_parser, main, run
 from prooflab.files import (
     proof_file_text,
     read_deduction_file,
@@ -141,6 +141,16 @@ def test_cli_usage_error(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,code", [(["parse", "p"], 0), (["nope"], 2)])
+def test_console_script_exits_with_the_run_code(capsys, monkeypatch, argv, code):
+    # pyproject's console script `prooflab` calls main, which reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["prooflab", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == code
+    assert capsys.readouterr().out == ("[p;01]\n" if code == 0 else "")
 
 
 def test_cli_check_prints_witness_and_table(capsys, ded_file, sigma_file):

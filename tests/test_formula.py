@@ -1,7 +1,8 @@
+import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prooflab import (
     And,
@@ -21,7 +22,7 @@ from prooflab import (
 )
 from prooflab.formula import MAX_DEPTH
 
-from _oracles import all_assignments, eval_bool
+from _oracles import all_assignments, eval_bool, parse_oracle, subtree_number
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -73,6 +74,7 @@ def test_parse_depth_limit():
         ("(" * deep + "p" + ")" * deep, MAX_DEPTH),
         ("~(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH, MAX_DEPTH),
         (" & ".join(["p"] * (deep + 1)), 4 * deep - 2),
+        (" | ".join(["p"] * (deep + 1)), 4 * deep - 2),
         ("~(" + " | ".join(["p"] * deep) + ")", 0),
         (" <-> ".join(["p"] * 35), 6 * 34 - 4),
     ]:
@@ -274,6 +276,50 @@ def mutated_formulas(draw):
 @given(mutated_formulas(), st.integers(0, 16))
 def test_text_path_matches_reference(text, cap):
     assert outcome(canonicalize_text, text, cap) == outcome(reference, text, cap)
+
+
+# --- the precedence loop against the one-method-per-rule grammar ---------
+
+BINARY_OPS = ["&", "|", "<->"]
+
+
+@st.composite
+def long_chains(draw):
+    """95 to 105 atoms joined by one operator, or by a mix of all three:
+    most go past MAX_DEPTH."""
+    k = draw(st.integers(95, 105))
+    ops = draw(st.sampled_from([[op] for op in BINARY_OPS] + [BINARY_OPS]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return rng.choice("pq") + "".join(f" {rng.choice(ops)} {rng.choice('pq')}" for _ in range(k - 1))
+
+
+def grammar_outcome(text, cap, parse_text, class_of_text, table):
+    """The AST as a subtree number in ``table`` (or the ParseError with
+    its position), and the class's outcome."""
+    try:
+        ast = subtree_number(parse_text(text), table)
+    except ParseError as exc:
+        ast = "ParseError", str(exc), exc.position
+    return ast, outcome(class_of_text, text, cap)
+
+
+def reference_grammar_class(text, cap):
+    return canonicalize(parse_oracle(text), cap)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(mutated_formulas(), long_chains()), st.integers(0, 16))
+# a depth error at each of &, |, <->, ~ and (
+@example(" & ".join(["p"] * 102), 16)
+@example(" | ".join(["q"] * 102), 16)
+@example(" <-> ".join(["p"] * 35), 16)
+@example("~" * 101 + "p", 16)
+@example("(" * 101 + "p" + ")" * 101, 16)
+def test_grammar_matches_reference_grammar(text, cap):
+    table = {}
+    assert grammar_outcome(text, cap, parse, canonicalize_text, table) == grammar_outcome(
+        text, cap, parse_oracle, reference_grammar_class, table
+    )
 
 
 def test_reading_files_skips_the_reference_path(tmp_path, monkeypatch):

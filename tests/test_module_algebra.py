@@ -257,6 +257,11 @@ def test_check_module_axioms_rejects_non_member(sp):
         check_module_axioms(sp, [], [node("~p")])
 
 
+def test_check_module_axioms_needs_a_proof(sp):
+    with pytest.raises(ValueError, match="need at least one proof"):
+        check_module_axioms(sp, [ClassScalar(cls("p"))], [])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_restricted_domain_indexes_the_listed_triples(seed):

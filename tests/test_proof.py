@@ -158,6 +158,9 @@ def test_build_proof_rejects_bad_interpretation(sp_p):
     d = ded(sp_p, "q", "q | s")
     with pytest.raises(InvalidInterpretation):
         build_proof(d, Interpretation({1: 0, 2: 0}))
+    # an index set naming a later step would index past the built nodes
+    with pytest.raises(InvalidInterpretation):
+        build_proof(ded(sp_p, "p", "p | s"), Interpretation({1: 0, 2: frozenset({3})}))
 
 
 def test_duplicate_subtrees_collapse(sp_pq):

@@ -69,6 +69,8 @@ def test_propclass_invariants_enforced():
         PropClass(("q", "p"), (0, 0, 0, 1))  # unsorted support
     with pytest.raises(ValueError):
         PropClass(("p",), (0, 1, 1))  # wrong table length
+    with pytest.raises(ValueError, match="table entries must be bits"):
+        PropClass(("p",), (0, 2))
     with pytest.raises(ValueError):
         PropClass(("p", "q"), (0, 0, 1, 1))  # q inessential
 
