@@ -77,6 +77,7 @@ from .proof import (
     parse_proof,
     premises,
     proof_eq,
+    prove,
 )
 from .module_algebra import (
     add,

@@ -33,11 +33,11 @@ from .module_algebra import add, check_module_axioms, scalar_mul
 from .proof import (
     MAX_PROOF_TEXT,
     ProofNode,
-    build_proof,
     digest_hex,
     pretty_class,
     pretty_proof,
     proof_eq,
+    prove,
     text_length,
 )
 from .propclass import DEFAULT_ATOM_CAP, MAX_ATOM_CAP, all_classes
@@ -227,8 +227,7 @@ def _dispatch(args) -> int:
 
     if args.command == "prove":
         d = _load_deduction(args)
-        phi = induce_interpretation(d, args.atom_cap)
-        r = build_proof(d, phi, args.atom_cap)
+        r = prove(d, args.atom_cap)
         pretty = args.format == "pretty"
         _require_text_budget(r, pretty)
         _emit_proof(args, r, pretty)

@@ -20,11 +20,11 @@ against the base set alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, product
 from typing import Callable, Iterable, Mapping, Union
 
+from ._record import record
 from .errors import InvalidDeduction, ResourceLimit
 from .propclass import (
     DEFAULT_ATOM_CAP,
@@ -43,7 +43,7 @@ from .sigma import SigmaPrime
 DEFAULT_MAX_PRIOR = 20
 
 
-@dataclass(frozen=True)
+@record
 class Deduction:
     """A nonempty step sequence ``steps`` over the extension ``context``."""
 
@@ -65,7 +65,7 @@ class Deduction:
 PhiValue = Union[int, frozenset[int]]  # 0 for a premise, else the index set
 
 
-@dataclass(frozen=True)
+@record
 class Interpretation:
     """Map from step index to 0 (premise) or a justifying index set."""
 
@@ -82,7 +82,7 @@ class Interpretation:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class StepReport:
     index: int
     clause: str | None  # 'a' member, 'c' conjunction of earlier steps, None unjustified
@@ -94,7 +94,7 @@ class StepReport:
         return self.clause is not None
 
 
-@dataclass(frozen=True)
+@record
 class DeductionReport:
     steps: tuple[StepReport, ...]
 
@@ -266,7 +266,7 @@ def validate_interpretation(
 # --- the classical rule table -------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class InferenceRule:
     """A rule schema: metavariable tuple -> (premises, conclusion)."""
 
@@ -303,7 +303,7 @@ CLASSICAL_RULES: tuple[InferenceRule, ...] = (
 _RULE_ATOMS = ("p", "q", "r")
 
 
-@dataclass(frozen=True)
+@record
 class RuleCheck:
     name: str
     instances: int
@@ -314,7 +314,7 @@ class RuleCheck:
         return not self.violations
 
 
-@dataclass(frozen=True)
+@record
 class RulesReport:
     rules: tuple[RuleCheck, ...]
 

@@ -28,10 +28,10 @@ shared subtree once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import and_, is_, not_, or_
 from typing import Mapping, Union
 
+from ._record import record
 from .errors import ParseError
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
@@ -42,7 +42,7 @@ ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     name: str
 
@@ -51,18 +51,18 @@ class Atom:
             raise ValueError(f"invalid atom name {self.name!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     child: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     left: "Formula"
     right: "Formula"
@@ -71,7 +71,7 @@ class Or:
 Formula = Union[Atom, Not, And, Or]
 
 
-@dataclass(frozen=True, eq=True)
+@record
 class Valuation:
     """Total atom assignment: an explicit map plus a default bit.
 
@@ -93,7 +93,8 @@ def fold(f: Formula, atom, neg, conj, disj):
     The AST counterpart of :meth:`Scanned.build`. ``<->`` shares its
     operands, so a parsed formula is a DAG: ``atom`` is called once per
     distinct name and each binary node is computed once per call, keyed
-    on its identity (the dataclass hash would itself walk the tree).
+    on its identity (hashing a node hashes its fields, so it would
+    itself walk the tree).
     Raises ``TypeError`` at the first node, left to right, whose type is
     not ``Atom``, ``Not``, ``And`` or ``Or``.
     """

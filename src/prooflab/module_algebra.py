@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
+from ._record import record
 from .errors import InternalError
 from .propclass import (
     DEFAULT_ATOM_CAP,
@@ -112,7 +112,7 @@ def embed_premise(sp: SigmaPrime, c: PropClass) -> ProofNode:
 # --- axiom audit -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ModuleLawCheck:
     name: str
     checked: int
@@ -124,7 +124,7 @@ class ModuleLawCheck:
         return not self.failures
 
 
-@dataclass(frozen=True)
+@record
 class ModuleAxiomReport:
     laws: tuple[ModuleLawCheck, ...]
 

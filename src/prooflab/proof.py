@@ -26,10 +26,10 @@ from __future__ import annotations
 import hashlib
 import re
 import weakref
-from dataclasses import FrozenInstanceError
 from operator import is_
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Optional
 
+from ._record import FrozenInstanceError
 from .errors import InvalidInterpretation, ParseError
 from .formula import MAX_DEPTH
 from .propclass import (
@@ -40,7 +40,7 @@ from .propclass import (
     class_from_text,
     is_tautology,
 )
-from .deduction import Deduction, Interpretation, validate_interpretation
+from .deduction import Deduction, Interpretation, induce_interpretation, validate_interpretation
 
 ProofDigest = bytes
 
@@ -267,7 +267,25 @@ def sorted_children(r: ProofNode) -> list[ProofNode]:
 def build_proof(
     d: Deduction, phi: Interpretation, atom_cap: int = DEFAULT_ATOM_CAP
 ) -> ProofNode:
-    """The proof tree of an interpreted deduction.
+    """The proof tree of an interpreted deduction; a reading that does
+    not interpret ``d`` raises :class:`InvalidInterpretation`."""
+    if not validate_interpretation(d, phi, atom_cap):
+        raise InvalidInterpretation("the assignment does not interpret this deduction")
+    return _assemble(d, phi)
+
+
+def prove(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> ProofNode:
+    """The proof tree of ``d`` under its canonical reading.
+
+    :func:`induce_interpretation` returns only readings that validate
+    (every step it reaches is entailed by the steps before it, and every
+    other step is an extension member), so the reading is not checked
+    again as :func:`build_proof` checks a caller's."""
+    return _assemble(d, induce_interpretation(d, atom_cap))
+
+
+def _assemble(d: Deduction, phi: Interpretation) -> ProofNode:
+    """The proof tree of a reading already known to interpret ``d``.
 
     Steps are built in order, since an index set names earlier steps
     only: a premise index becomes a premise node, an index set becomes
@@ -275,9 +293,6 @@ def build_proof(
     step becomes a premise node as it is built, so the result is
     normalized with one node object per step.
     """
-    if not validate_interpretation(d, phi, atom_cap):
-        raise InvalidInterpretation("the assignment does not interpret this deduction")
-
     nodes: list[ProofNode] = []  # nodes[u - 1] proves step u
     for u in range(1, len(d) + 1):
         v = phi.assignment[u]

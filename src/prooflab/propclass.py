@@ -21,11 +21,11 @@ should ask for: a 24-atom table takes 2 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from operator import and_, or_, xor
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import ParseError, ResourceLimit
 from .formula import ATOM_RE, And, Atom, Formula, Not, Or, Scanned, Valuation, atoms_of, fold
 
@@ -33,7 +33,7 @@ DEFAULT_ATOM_CAP = 16
 MAX_ATOM_CAP = 24
 
 
-@dataclass(frozen=True, init=False)
+@record
 class PropClass:
     """An equivalence class of formulas as an essential-support table.
 
@@ -45,7 +45,7 @@ class PropClass:
     bits: int
 
     # every cache and intern key hashes classes, so the hash is stored;
-    # its value is the field-tuple hash a frozen dataclass would compute
+    # its value is the hash of the field tuple, as for every record
     __slots__ = ("support", "bits", "_hash")
 
     def __init__(self, support: tuple[str, ...], table: tuple[int, ...]):

@@ -15,9 +15,9 @@ The multiplicative identity is the formal adjoined element
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
+from ._record import record
 from .errors import Inconsistent, NotMember
 from .formula import Valuation
 from .propclass import (
@@ -30,7 +30,7 @@ from .propclass import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class SigmaPrime:
     """A finite base set plus the witness valuation realizing its extension."""
 
@@ -55,12 +55,12 @@ class SigmaPrime:
         return f"{pairs} default={self.default_bit}".strip()
 
 
-@dataclass(frozen=True)
+@record
 class FormalOne:
     """The formal multiplicative identity adjoined to the disjunction ring."""
 
 
-@dataclass(frozen=True)
+@record
 class ClassScalar:
     payload: PropClass
 
@@ -131,7 +131,7 @@ def ring_mul(sp: SigmaPrime, a: PropClass, b: PropClass) -> PropClass:
     return class_or(a, b)
 
 
-@dataclass(frozen=True)
+@record
 class LawCheck:
     name: str
     checked: int
@@ -142,7 +142,7 @@ class LawCheck:
         return not self.violations
 
 
-@dataclass(frozen=True)
+@record
 class RingAxiomReport:
     laws: tuple[LawCheck, ...]
 

@@ -618,8 +618,7 @@ def test_cli_atom_cap_reaches_combines(capsys, tmp_path):
 
 def test_cli_prove_atom_cap_reaches_validation(capsys, tmp_path):
     # a valid deduction whose prefix 1..6 spans 17 atoms: the reading
-    # sets phi(7) = {1..6}, and build_proof re-validates that reading
-    # with the conjunction of all six steps
+    # sets phi(7) = {1..6}, found with the conjunction of all six steps
     ded = tmp_path / "valid.txt"
     ded.write_text(
         "~x01 & ~x02 & ~x03\n~x04 & ~x05 & ~x06\n~x07 & ~x08 & ~x09\n"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from prooflab import (
     Deduction,
     Interpretation,
+    InvalidDeduction,
     InvalidInterpretation,
     NotMember,
     ParseError,
@@ -20,6 +21,7 @@ from prooflab import (
     build_proof,
     canonical_serialize,
     canonicalize,
+    class_not,
     digest,
     digest_hex,
     essentially_equal,
@@ -31,9 +33,11 @@ from prooflab import (
     parse_proof,
     premises,
     proof_eq,
+    prove,
     render,
     replace_subproof,
     representative,
+    validate_interpretation,
 )
 
 from prooflab.files import proof_file_length, proof_file_text, read_proof_text
@@ -50,6 +54,7 @@ from prooflab.surgery import _require_members, _rewrite_at
 
 from _oracles import (
     normalize_oracle,
+    random_formula,
     parse_proof_oracle,
     premises_oracle,
     random_member_class,
@@ -161,6 +166,30 @@ def test_build_proof_rejects_bad_interpretation(sp_p):
     # an index set naming a later step would index past the built nodes
     with pytest.raises(InvalidInterpretation):
         build_proof(ded(sp_p, "p", "p | s"), Interpretation({1: 0, 2: frozenset({3})}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(0, 1))
+def test_induced_readings_validate_so_prove_skips_the_check(rng, n_atoms, inserted):
+    # prove does not validate the reading it induces: every reading that
+    # induce_interpretation returns must pass validate_interpretation,
+    # and prove must give the proof build_proof gives after checking it
+    atoms = ["p", "q", "r", "s", "t"][:n_atoms]
+    base = frozenset(cls(a) for a in rng.sample(atoms, rng.randint(0, n_atoms)))
+    sp = lindenbaum_extend(base, rng.randint(0, 1))
+    steps = list(random_valid_deduction(rng, sp, atoms, max_steps=7).steps)
+    for _ in range(inserted):
+        c = canonicalize(random_formula(rng, atoms))
+        steps.insert(rng.randint(0, len(steps)), class_not(c) if sp.member(c) else c)
+    d = Deduction(tuple(steps), sp)
+    try:
+        phi = induce_interpretation(d)
+    except InvalidDeduction as exc:
+        with pytest.raises(InvalidDeduction, match=str(exc)):
+            prove(d)
+        return
+    assert validate_interpretation(d, phi)
+    assert prove(d) is build_proof(d, phi)
 
 
 def test_duplicate_subtrees_collapse(sp_pq):
