@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Iterator, Sequence
 
 from ._record import record
@@ -176,57 +176,50 @@ class _RestrictedDomain:
     every scalar, so in the row of ``(s, a)`` lie, for a premise ``a``,
     every ``b`` that ``s`` keeps, and for a justified ``a``, the ``b``
     with ``a``'s children, plus every premise when ``s`` keeps ``a``.
+    Each distinct row is one list of pool indices, built once and
+    shared by every ``(s, a)`` whose row it is.
     """
 
     def __init__(self, scalars: Sequence[ClassScalar], pool: Sequence[ProofNode]):
-        self._scalars, self._pool = scalars, pool
-        by_children: dict[Justification, list[int]] = {}
+        self._pool = pool
+        groups: dict[Justification, list[int]] = {}
         for j, r in enumerate(pool):
-            by_children.setdefault(r.children, []).append(j)
-        self._group = [by_children[r.children] for r in pool]
-        self._premises = by_children.get(None, [])
-        self._keeps = [[_keeps_justification(s, r) for r in pool] for s in scalars]
-        # row k, the row of (scalars[k // len(pool)], pool[k % len(pool)]),
-        # starts at index _starts[k]
-        self._starts: list[int] = []
-        total = 0
-        for keeps in self._keeps:
-            kept = sum(keeps)
-            for a, r in enumerate(pool):
-                self._starts.append(total)
+            groups.setdefault(r.children, []).append(j)
+        premises = groups.get(None, [])
+        with_premises = {
+            children: sorted(group + premises)
+            for children, group in groups.items()
+            if children is not None
+        }
+        self._rows: list[tuple[ClassScalar, ProofNode, list[int]]] = []
+        for s in scalars:
+            keeps = [_keeps_justification(s, r) for r in pool]
+            kept = [b for b, k in enumerate(keeps) if k]
+            for r, k in zip(pool, keeps):
                 if r.is_premise:
-                    total += kept
+                    row = kept
+                elif k:
+                    row = with_premises[r.children]
                 else:
-                    total += len(self._group[a]) + (len(self._premises) if keeps[a] else 0)
-        self._len = total
-
-    def _row(self, k: int) -> list[int]:
-        """The pool indices ``b`` in row ``k``, ascending."""
-        s, a = divmod(k, len(self._pool))
-        keeps = self._keeps[s]
-        if self._pool[a].is_premise:
-            return [b for b, kept in enumerate(keeps) if kept]
-        if keeps[a]:
-            return sorted(self._group[a] + self._premises)
-        return self._group[a]
-
-    def _triple(self, k: int, b: int) -> tuple[ClassScalar, ProofNode, ProofNode]:
-        s, a = divmod(k, len(self._pool))
-        return self._scalars[s], self._pool[a], self._pool[b]
+                    row = groups[r.children]
+                self._rows.append((s, r, row))
+        # row k holds the indices from _starts[k] up to _starts[k + 1]
+        self._starts = list(accumulate((len(row) for _, _, row in self._rows), initial=0))
 
     def __len__(self) -> int:
-        return self._len
+        return self._starts[-1]
 
     def __getitem__(self, i: int) -> tuple[ClassScalar, ProofNode, ProofNode]:
-        if not 0 <= i < self._len:
+        if not 0 <= i < len(self):
             raise IndexError("restricted domain index out of range")
         k = bisect_right(self._starts, i) - 1
-        return self._triple(k, self._row(k)[i - self._starts[k]])
+        s, a, row = self._rows[k]
+        return s, a, self._pool[row[i - self._starts[k]]]
 
     def __iter__(self) -> Iterator[tuple[ClassScalar, ProofNode, ProofNode]]:
-        for k in range(len(self._starts)):
-            for b in self._row(k):
-                yield self._triple(k, b)
+        for s, a, row in self._rows:
+            for b in row:
+                yield s, a, self._pool[b]
 
 
 def check_module_axioms(
@@ -262,63 +255,57 @@ def check_module_axioms(
     rng = random.Random(seed)
     neutral = neutral_proof(sp)
 
-    def instances(arity_pools: Sequence[Sequence]) -> list[tuple]:
+    def instances(*pools: Sequence) -> list[tuple]:
+        if not all(pools):
+            return []
         if exhaustive:
-            return list(product(*arity_pools))
-        return [tuple(rng.choice(p) for p in arity_pools) for _ in range(samples)]
+            return list(product(*pools))
+        return [tuple(rng.choice(p) for p in pools) for _ in range(samples)]
 
     laws = []
 
-    def run(name: str, arity_pools, predicate, describe, diagnostic=False):
-        if any(len(p) == 0 for p in arity_pools):
-            laws.append(ModuleLawCheck(name, 0, (), diagnostic))
-            return
-        failures = []
-        cases = instances(arity_pools)
-        for case in cases:
-            if not predicate(*case):
-                failures.append(describe(*case))
-        laws.append(ModuleLawCheck(name, len(cases), tuple(failures), diagnostic))
+    def run(name: str, cases: list[tuple], predicate, diagnostic=False):
+        # a failing instance is named by its proof operands, in order
+        failures = tuple(
+            _tag(*(x for x in case if isinstance(x, ProofNode)))
+            for case in cases
+            if not predicate(*case)
+        )
+        laws.append(ModuleLawCheck(name, len(cases), failures, diagnostic))
 
     run(
         "sum-commutative",
-        [pool, pool],
+        instances(pool, pool),
         lambda a, b: proof_eq(add(a, b, sp), add(b, a, sp)),
-        lambda a, b: _tag(a, b),
     )
     run(
         "sum-neutral",
-        [pool],
+        instances(pool),
         lambda a: proof_eq(add(a, neutral, sp), normalize(a)),
-        lambda a: _tag(a),
     )
     run(
         "sum-involution",
-        [pool],
+        instances(pool),
         lambda a: proof_eq(add(a, a, sp), neutral),
-        lambda a: _tag(a),
     )
     run(
         "sum-associative",
-        [pool, pool, pool],
+        instances(pool, pool, pool),
         lambda a, b, c: proof_eq(add(add(a, b, sp), c, sp), add(a, add(b, c, sp), sp)),
-        lambda a, b, c: _tag(a, b, c),
         diagnostic=True,
     )
     run(
         "scalar-compose",
-        [class_scalars, class_scalars, pool],
+        instances(class_scalars, class_scalars, pool),
         lambda s, t, r: proof_eq(
             scalar_mul(ClassScalar(class_or(s.payload, t.payload)), r, sp),
             scalar_mul(s, scalar_mul(t, r, sp), sp),
         ),
-        lambda s, t, r: _tag(r),
     )
     run(
         "scalar-identity",
-        [pool],
+        instances(pool),
         lambda r: proof_eq(scalar_mul(FORMAL_ONE, r, sp), normalize(r)),
-        lambda r: _tag(r),
     )
 
     def distributes(s: ClassScalar, a: ProofNode, b: ProofNode) -> bool:
@@ -330,24 +317,21 @@ def check_module_axioms(
     restricted = _RestrictedDomain(class_scalars, pool)
     run(
         "scalar-distributive-restricted",
-        [restricted],
-        lambda sab: distributes(*sab),
-        lambda sab: _tag(sab[1], sab[2]),
+        [sab for sab, in instances(restricted)],
+        distributes,
     )
     run(
         "scalar-distributive-general",
-        [class_scalars, pool, pool],
+        instances(class_scalars, pool, pool),
         distributes,
-        lambda s, a, b: _tag(a, b),
         diagnostic=True,
     )
     run(
         "scalar-iff-splits",
-        [class_scalars, class_scalars, pool],
+        instances(class_scalars, class_scalars, pool),
         lambda s, t, r: proof_eq(
             scalar_mul(ClassScalar(class_iff(s.payload, t.payload)), r, sp),
             add(scalar_mul(s, r, sp), scalar_mul(t, r, sp), sp),
         ),
-        lambda s, t, r: _tag(r),
     )
     return ModuleAxiomReport(tuple(laws))

@@ -10,10 +10,11 @@ every ancestor with set deduplication.
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 from .errors import BadPath, NotFound, PremiseDonor
 from .propclass import PropClass
 from .proof import ProofNode, canonical_serialize, digest_hex, fold, normalize, rejustify
-from .proof import sorted_children
 from .sigma import SigmaPrime
 
 ProofPath = tuple[str, ...]
@@ -48,7 +49,7 @@ def find_occurrences(r: ProofNode, sigma: PropClass) -> list[ProofPath]:
     def walk(node: ProofNode, path: ProofPath) -> None:
         if node.conclusion == sigma:
             hits.append(path)
-        for child in sorted_children(node):
+        for child in node.children or ():
             walk(child, path + (digest_hex(child),))
 
     walk(r, ())
@@ -98,17 +99,23 @@ def _smallest_paths(
     return paths
 
 
-def extract_subproof(r: ProofNode, path: ProofPath) -> ProofNode:
-    """The subtree addressed by ``path``, unchanged."""
-    node = r
+def _walk(r: ProofNode, path: ProofPath) -> list[ProofNode]:
+    """The nodes ``path`` passes through, from ``r`` to the one it
+    addresses."""
+    nodes = [r]
     for wanted in path:
         matches = [
-            c for c in node.children or () if digest_hex(c).startswith(wanted)
+            c for c in nodes[-1].children or () if digest_hex(c).startswith(wanted)
         ]
         if len(matches) != 1:
             raise BadPath(f"no unique child matches digest {wanted!r}")
-        node = matches[0]
-    return node
+        nodes.append(matches[0])
+    return nodes
+
+
+def extract_subproof(r: ProofNode, path: ProofPath) -> ProofNode:
+    """The subtree addressed by ``path``, unchanged."""
+    return _walk(r, path)[-1]
 
 
 def require_target(r: ProofNode, sigma: PropClass, path: ProofPath | None) -> None:
@@ -128,16 +135,11 @@ def _rewrite_at(r: ProofNode, sigma: PropClass, new_children, path: ProofPath | 
     if path is None:
         return rejustify(r, lambda c: c == sigma, new_children)
 
-    def along(node: ProofNode, rest: ProofPath) -> ProofNode:
-        if not rest:
-            return ProofNode(node.conclusion, new_children)
-        head, tail = rest[0], rest[1:]
-        rebuilt = set()
-        for c in node.children or ():
-            rebuilt.add(along(c, tail) if digest_hex(c).startswith(head) else c)
-        return ProofNode(node.conclusion, frozenset(rebuilt))
-
-    return along(r, path)
+    nodes = _walk(r, path)
+    new = ProofNode(nodes[-1].conclusion, new_children)
+    for parent, old in reversed(list(pairwise(nodes))):
+        new = ProofNode(parent.conclusion, parent.children - {old} | {new})
+    return new
 
 
 def replace_subproof(

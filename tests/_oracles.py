@@ -325,6 +325,24 @@ def rewrite_oracle(r: ProofNode, sigma: PropClass, new_children) -> ProofNode:
     )
 
 
+def find_occurrences_oracle(r: ProofNode, sigma: PropClass) -> list[tuple[str, ...]]:
+    """Every digest path to a node concluding ``sigma``, collected in
+    canonical pre-order and listed shallowest first, ties by path text."""
+    from prooflab import digest_hex
+    from prooflab.proof import sorted_children
+
+    hits = []
+
+    def walk(node, path):
+        if node.conclusion == sigma:
+            hits.append(path)
+        for child in sorted_children(node):
+            walk(child, path + (digest_hex(child),))
+
+    walk(r, ())
+    return sorted(hits, key=lambda p: (len(p), p))
+
+
 def require_members_oracle(r: ProofNode, sp: SigmaPrime) -> None:
     """``require_member`` on every conclusion in canonical pre-order."""
     from prooflab import canonical_serialize

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from prooflab import (
     scalar_mul,
 )
 
+from prooflab.cli import run
 from prooflab.module_algebra import _RestrictedDomain
 
 from _oracles import random_proof, restricted_domain_oracle
@@ -257,6 +259,27 @@ def test_check_module_axioms_rejects_non_member(sp):
         check_module_axioms(sp, [], [node("~p")])
 
 
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_check_module_axioms_without_class_scalars(sp, exhaustive):
+    # a law with an empty pool checks nothing
+    proofs = [node("p"), node("q", node("p")), node("p | q", node("q"))]
+    report = check_module_axioms(sp, [FORMAL_ONE], proofs, samples=30, exhaustive=exhaustive)
+    checked = {law.name: law.checked for law in report.laws}
+    n = 3 if exhaustive else 30
+    assert checked == {
+        "sum-commutative": n * (3 if exhaustive else 1),
+        "sum-neutral": n,
+        "sum-involution": n,
+        "sum-associative": n * (9 if exhaustive else 1),
+        "scalar-compose": 0,
+        "scalar-identity": n,
+        "scalar-distributive-restricted": 0,
+        "scalar-distributive-general": 0,
+        "scalar-iff-splits": 0,
+    }
+    assert report.ok
+
+
 def test_check_module_axioms_needs_a_proof(sp):
     with pytest.raises(ValueError, match="need at least one proof"):
         check_module_axioms(sp, [ClassScalar(cls("p"))], [])
@@ -288,3 +311,70 @@ def test_restricted_domain_indexes_the_listed_triples(seed):
     assert list(domain) == expected
     with pytest.raises(IndexError):
         domain[len(expected)]
+
+
+def axioms_stdout(capsys, tmp_path, base, *args):
+    path = tmp_path / "base.txt"
+    path.write_text(base + "\n")
+    assert run(["axioms", "--sigma", str(path), *args]) == 0
+    return capsys.readouterr().out
+
+
+# SHA-256 of the concatenated stdout of `axioms` over --atoms 1|2,
+# --seed 0|5 and --samples 0|5|20, per base set
+AUDIT_DIGESTS = {
+    "p": "548a8cf3b454965e7836059ba81e7b8f80b5d96bf10b19482c16aa60e1910c56",
+    "q | r": "63813df0d20eb0d4ebe3d7bb7efc4513396be44fba0db957426a80cc22d4d752",
+    "~p & q": "9067fe74467ca828b75e567df5b6ba7dd6fe5ac31bae079e9f29d14d7a59a193",
+}
+
+
+@pytest.mark.parametrize("base", sorted(AUDIT_DIGESTS))
+def test_axioms_report_bytes_are_pinned(capsys, tmp_path, base):
+    out = "".join(
+        axioms_stdout(capsys, tmp_path, base, "--atoms", atoms, "--seed", seed, "--samples", n)
+        for atoms in ("1", "2")
+        for seed in ("0", "5")
+        for n in ("0", "5", "20")
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGESTS[base]
+
+
+# operations that break guaranteed laws, so the audit names failing
+# instances; the digest pins the `axioms --atoms 2 --samples 20` stdout
+BROKEN = {
+    "add": (
+        lambda r1, r2, sp, atom_cap=0: ProofNode(r1.conclusion, frozenset({r2})),
+        "761654b787820e85592726ace7f0ec392e43c0f6a429457cfeb00c79902139c6",
+    ),
+    "scalar_mul": (
+        lambda s, r, sp, atom_cap=0: (
+            ProofNode(r.conclusion) if s is FORMAL_ONE else ProofNode(s.payload, r.children)
+        ),
+        "f0e219baa72a3ab0313cc5e0737e7045bf4a0dea7a6e40ce1f76a57d42ebe905",
+    ),
+}
+
+
+def test_axioms_report_tags_every_failing_law(capsys, tmp_path, monkeypatch):
+    tagged = {}
+    for name, (broken, digest) in BROKEN.items():
+        with monkeypatch.context() as m:
+            m.setattr(f"prooflab.module_algebra.{name}", broken)
+            out = axioms_stdout(capsys, tmp_path, "p\nq", "--atoms", "2", "--samples", "20")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+        for line in out[out.index("counterexamples:\n") :].splitlines()[1:]:
+            law, tag = line.strip().split(": ")
+            tagged.setdefault(law, set()).add(len(tag.split()))
+    # each law names its proof operands, and only those
+    assert tagged == {
+        "sum-commutative": {2},
+        "sum-neutral": {1},
+        "sum-involution": {1},
+        "sum-associative": {3},
+        "scalar-compose": {1},
+        "scalar-identity": {1},
+        "scalar-distributive-restricted": {2},
+        "scalar-distributive-general": {2},
+        "scalar-iff-splits": {1},
+    }

@@ -32,7 +32,12 @@ from prooflab import (
 from prooflab.proof import text_length
 from prooflab.surgery import _first_occurrence, _require_members
 
-from _oracles import random_member_class, random_proof
+from _oracles import (
+    find_occurrences_oracle,
+    random_member_class,
+    random_proof,
+    random_valid_deduction,
+)
 
 
 def cls(text):
@@ -80,6 +85,27 @@ def test_find_occurrences_two_depths():
         return (n.conclusion == cls("p")) + sum(count(c) for c in n.children or ())
 
     assert count(tree) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_find_occurrences_matches_the_canonical_walk(seed):
+    # built proofs share subtrees, so one node sits on several paths;
+    # a chain of n steps has 2**(n - 2) paths to its first step
+    rng = random.Random(seed)
+    sp = lindenbaum_extend({cls("p")}, rng.randint(0, 1))
+    atoms = ["p", "q", "r"]
+    classes = [random_member_class(rng, sp, atoms) for _ in range(4)]
+    d = random_valid_deduction(rng, sp, atoms, max_steps=6)
+    chain = Deduction((cls("p"),) + (cls("p | q"),) * rng.randint(0, 9), sp)
+    proofs = [
+        random_proof(rng, sp, classes, depth=4),
+        build_proof(d, induce_interpretation(d)),
+        build_proof(chain, induce_interpretation(chain)),
+    ]
+    for r in proofs:
+        for sigma in {*classes, *d.steps, cls("p"), cls("p | q"), cls("~p")}:
+            assert find_occurrences(r, sigma) == find_occurrences_oracle(r, sigma)
 
 
 @settings(max_examples=80, deadline=None)
