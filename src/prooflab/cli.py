@@ -33,6 +33,7 @@ from .module_algebra import add, check_module_axioms, scalar_mul
 from .proof import (
     MAX_PROOF_TEXT,
     ProofNode,
+    _pretty_class_length,
     digest_hex,
     pretty_class,
     pretty_proof,
@@ -162,18 +163,20 @@ def _load_deduction(args) -> Deduction:
     return Deduction(tuple(steps), sp)
 
 
+def _require_budget(name: str, n: int) -> None:
+    """Refuse a ``name`` text of ``n`` characters over ``MAX_PROOF_TEXT``
+    with :class:`ResourceLimit`, before anything builds it."""
+    if n > MAX_PROOF_TEXT:
+        raise ResourceLimit(f"{name} text of {n} characters exceeds the budget of {MAX_PROOF_TEXT}")
+
+
 def _require_text_budget(r: ProofNode, pretty: bool) -> None:
-    """Raise :class:`ResourceLimit` before ``_emit_proof`` builds a text
-    of more than ``MAX_PROOF_TEXT`` characters. Pretty output sorts
-    children by their canonical text, so that text has to fit too."""
-    lengths = [("canonical", proof_file_length(r))]
+    """Check the text ``_emit_proof`` would build against the budget.
+    Pretty output sorts children by their canonical text, so that text
+    has to fit too."""
     if pretty:
-        lengths.insert(0, ("pretty", text_length(r, pretty=True) + 1))
-    for name, n in lengths:
-        if n > MAX_PROOF_TEXT:
-            raise ResourceLimit(
-                f"{name} proof text of {n} characters exceeds the budget of {MAX_PROOF_TEXT}"
-            )
+        _require_budget("pretty proof", text_length(r, pretty=True) + 1)
+    _require_budget("canonical proof", proof_file_length(r))
 
 
 def _emit_proof(args, r: ProofNode, pretty: bool = False) -> None:
@@ -207,6 +210,7 @@ def _dispatch(args) -> int:
         if args.format == "canonical":
             print(c.text())
         else:
+            _require_budget("pretty class", _pretty_class_length(c) + 1)
             print(pretty_class(c))
         return 0
 

@@ -15,6 +15,7 @@ The multiplicative identity is the formal adjoined element
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Union
 
 from ._record import record
@@ -189,16 +190,11 @@ class _Numbering:
 class _Table(dict):
     """The Cayley table of one operation over numbered classes:
     ``table[i][j]`` is the number of ``op(classes[i], classes[j])``, the
-    result of one call to ``op``, made on first use.
+    result of one call to ``op``, made on first use."""
 
-    With ``members_only`` both operands must be extension members, as
-    for :func:`ring_add` and :func:`ring_mul`: a non-member operand
-    raises the :class:`NotMember` those functions raise."""
-
-    def __init__(self, numbering: _Numbering, op: _BinOp, members_only: bool):
+    def __init__(self, numbering: _Numbering, op: _BinOp):
         self.numbering = numbering
         self.op = op
-        self.members_only = members_only
 
     def __missing__(self, i: int) -> "_Row":
         row = self[i] = _Row(self, i)
@@ -214,10 +210,6 @@ class _Row(dict):
 
     def __missing__(self, j: int) -> int:
         table, numbering = self.table, self.table.numbering
-        if table.members_only:
-            for operand in (self.i, j):
-                if not numbering.member[operand]:
-                    numbering.sp.require_member(numbering.classes[operand])
         k = self[j] = numbering(table.op(numbering.classes[self.i], numbering.classes[j]))
         return k
 
@@ -230,9 +222,10 @@ def check_ring_axioms(
 ) -> RingAxiomReport:
     """Audit the commutative-ring laws over a finite member set.
 
-    ``add_op``/``mul_op`` default to the ring operations; a test harness
-    can inject corrupted ones to confirm the audit actually detects
-    violations.
+    ``add_op``/``mul_op`` default to :func:`ring_add`/:func:`ring_mul`,
+    so a non-member operand raises their :class:`NotMember`; a test
+    harness can inject corrupted ones, unchecked, to confirm the audit
+    actually detects violations.
 
     The elements are numbered and each operation is tabulated once: its
     n² products of elements, plus, where a product falls outside the
@@ -251,8 +244,8 @@ def check_ring_axioms(
     for c in elems:
         numbering(c)
     member = numbering.member
-    add = _Table(numbering, add_op or class_iff, add_op is None)
-    mul = _Table(numbering, mul_op or class_or, mul_op is None)
+    add = _Table(numbering, add_op or partial(ring_add, sp))
+    mul = _Table(numbering, mul_op or partial(ring_mul, sp))
     n = len(elems)
     span = range(n)
     t = [c.text() for c in elems]

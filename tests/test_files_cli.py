@@ -130,6 +130,25 @@ def test_cli_pretty_dnf_of_ten_atoms(capsys):
     assert minterms[0] == " & ".join(f"~{n}" for n in names[:-1]) + " & x9"
     assert minterms[-1] == " & ".join(names)
 
+
+def test_cli_parse_pretty_checks_the_text_budget_before_building_text(capsys, monkeypatch):
+    names = [f"x{i:02}" for i in range(18)]
+    formula = " | ".join(names)
+    # 2**16 - 1 minterms of sixteen 3-character atoms fit the budget
+    code, out, err = run_cli(capsys, "parse", " | ".join(names[:16]), "--format", "pretty")
+    assert (code, err, len(out)) == (0, "", 6815630)
+
+    def no_text(*args, **kwargs):
+        raise AssertionError("class text built over the budget")
+
+    monkeypatch.setattr("prooflab.cli.pretty_class", no_text)
+    code, out, err = run_cli(capsys, "parse", formula, "--format", "pretty", "--atom-cap", "18")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: ResourceLimit: pretty class text of 30670720 characters "
+        "exceeds the budget of 16777216\n"
+    )
+
 def test_cli_parse_error(capsys):
     code, out, err = run_cli(capsys, "parse", "p &")
     assert code == 1

@@ -185,6 +185,17 @@ def test_ring_axioms_reject_non_member(sp_pq):
         check_ring_axioms(sp_pq, [cls("~p")])
 
 
+def test_ring_audit_tabulates_the_ring_operations(sp_pq, monkeypatch):
+    import prooflab.sigma as sigma
+
+    called = set()
+    for name in ("ring_add", "ring_mul"):
+        op = getattr(sigma, name)
+        monkeypatch.setattr(sigma, name, lambda sp, a, b, op=op, name=name: called.add(name) or op(sp, a, b))
+    assert check_ring_axioms(sp_pq, _member_classes(sp_pq, ["p", "q"])).ok
+    assert called == {"ring_add", "ring_mul"}
+
+
 def test_ring_axioms_detect_corrupted_op(sp_pq):
     members = _member_classes(sp_pq, ["p", "q"])
     # a wrong addition: conjunction is not the ring add
