@@ -79,10 +79,10 @@ def _atom_cap(text: str) -> int:
 
 
 @lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first ``run`` and kept for the
-    life of the process: parsing keeps no state in the parser, and help
-    text is laid out when it is printed."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and, by name, each command's own parser, built
+    on the first ``run`` and kept for the life of the process: parsing
+    keeps no state in a parser, and help text is laid out when printed."""
     top = argparse.ArgumentParser(prog="prooflab")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -146,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rules", help="classical rule-table validity report")
     p.add_argument("--atoms", type=int, choices=(1, 2, 3), default=2)
 
-    return top
+    return top, dict(sub.choices)
 
 
 def _load_sigma(args, steps_premises: str | None = None) -> SigmaPrime:
@@ -188,10 +188,22 @@ def _emit_proof(args, r: ProofNode, pretty: bool = False) -> None:
         sys.stdout.write(text)
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by the parser of the command it names; any other
+    argv, and one that leaves arguments over, goes through the full
+    parser, which reports every usage error in its own words."""
+    top, commands = _build_parser()
+    if argv and argv[0] in commands:
+        namespace = argparse.Namespace(command=argv[0])
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], namespace)
+        if not extras:
+            return args
+    return top.parse_args(argv)
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

@@ -1,11 +1,12 @@
 """Text file formats: base-set files, deduction files, and proof files.
 
 Base-set and deduction files hold one formula per line in the core
-grammar; ``#`` starts a comment and blank lines are ignored. A
-deduction file may open with a ``premises: <path>`` directive naming a
-base-set file (resolved relative to the deduction file). Proof files
-are versioned with a leading ``format: 1`` line followed by the
-canonical serialization.
+grammar, where a line ends at LF, CR LF or CR; a line that starts
+with ``#`` is a comment and blank lines are ignored. A deduction
+file may open with a ``premises: <path>`` directive naming a base-set
+file (resolved relative to the deduction file). Proof files are
+versioned with a leading ``format: 1`` line followed by the canonical
+serialization.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ PROOF_FORMAT_LINE = "format: 1"
 
 
 def _content_lines(text: str) -> list[str]:
+    # str.splitlines would also cut a formula at a form feed or a
+    # Unicode line separator
     out = []
-    for line in text.splitlines():
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         line = line.strip()
         if line and not line.startswith("#"):
             out.append(line)

@@ -9,20 +9,21 @@ Grammar (whitespace insignificant)::
     unary   := "~" unary | atom | "(" formula ")"
     atom    := [a-z][a-z0-9_]*
 
-One precedence-climbing loop reads the three binary rules from an
-operator table that gives each operator its binding strength.
+One loop, :func:`build`, reads every formula: an operator-precedence
+loop with explicit operand and operator stacks, which takes each binary
+operator's binding strength from an operator table. It raises every
+parse error itself, at the token where it is found.
 ``<->`` is parser sugar only: ``a <-> b`` desugars to
 ``(~a | b) & (~b | a)``, so the AST carries exactly the three
 connectives ~, &, |.  Binary operators associate to the left. A node
 adds one level to the deeper of its operands, and a ``<->`` node three,
 those of its desugared form.
 
-The one grammar builds into any algebra (:meth:`Scanned.build`):
-:func:`parse` builds the AST, and ``propclass.canonicalize_text``
-builds truth tables with no tree in between. Since ``<->`` shares its
-operands, a parsed formula is a DAG; every walk of one is a call to
-:func:`fold`, which evaluates the AST in any algebra and visits each
-shared subtree once.
+The one grammar builds into any algebra: :func:`parse` builds the AST,
+and ``propclass.canonicalize_text`` builds truth tables with no tree in
+between. Since ``<->`` shares its operands, a parsed formula is a DAG;
+every walk of one is a call to :func:`fold`, which evaluates the AST in
+any algebra and visits each shared subtree once.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def fold(f: Formula, atom, neg, conj, disj):
     """The value of ``f`` in the algebra given by one function per node
     kind: ``atom(name)``, ``neg(x)``, ``conj(x, y)`` and ``disj(x, y)``.
 
-    The AST counterpart of :meth:`Scanned.build`. ``<->`` shares its
+    The AST counterpart of :func:`build`. ``<->`` shares its
     operands, so a parsed formula is a DAG: ``atom`` is called once per
     distinct name and each binary node is computed once per call, keyed
     on its identity (hashing a node hashes its fields, so it would
@@ -156,138 +157,116 @@ def atoms_of(f: Formula) -> set[str]:
 
 # --- parsing -----------------------------------------------------------
 
-# one token per match; a character that starts no token comes out as a
-# one-character token outside _ONE_CHAR_TOKENS
-_TOKEN_RE = re.compile(r"\s*([a-z][a-z0-9_]*|<->|[~&|()]|\S)")
+# one token per match, whitespace between them; a character that starts
+# no token comes out as a one-character token outside _ONE_CHAR_TOKENS
+_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*|<->|\S")
 _ONE_CHAR_TOKENS = frozenset("abcdefghijklmnopqrstuvwxyz~&|()")
-# per binary operator: its binding strength, the algebra function that
-# builds its node, and the levels that node adds
-_BINARY = {"<->": (0, "iff", 3), "|": (1, "disj", 1), "&": (2, "conj", 1)}
+# each binary operator's binding strength, and by strength the levels
+# its node adds
+_BINARY = {"<->": 0, "|": 1, "&": 2}
+_LEVELS = (3, 1, 1)
 # the tokens that are not atoms; "" marks the end of input
 _SYMBOLS = frozenset(_BINARY).union(("~", "(", ")", ""))
-# how error messages name the tokens the grammar requires
-_KIND = {")": "rpar", "": "eof"}
+# the strengths of "~" and "(" on the operator stack: "~" binds
+# tightest, and "(" stops every reduction
+_NOT, _OPEN = 3, -1
+_TOO_DEEP = f"nested deeper than {MAX_DEPTH} levels"
 
 
-def _is_stray(token: str) -> bool:
-    return len(token) == 1 and token not in _ONE_CHAR_TOKENS
-
-
-class Scanned:
-    """A formula text cut into tokens, ready to be built into any algebra.
+def tokenize(text: str) -> tuple[list[str], set[str]]:
+    """The tokens of ``text``, closed by the end marker "", and its atom
+    names.
 
     Cutting the text first gives the atoms before any node is built, so
     a caller can size what each atom maps to. A character that starts
     no token raises :class:`ParseError` here, before any grammar error.
     """
-
-    __slots__ = ("text", "tokens", "distinct")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _TOKEN_RE.findall(text)
-        self.distinct = set(self.tokens)
-        if any(_is_stray(t) for t in self.distinct):
-            k = next(k for k, t in enumerate(self.tokens) if _is_stray(t))
-            raise ParseError(f"unexpected character {self.tokens[k]!r}", self.position(k))
-        self.tokens.append("")
-
-    def atoms(self) -> list[str]:
-        """The atom names in the text, sorted."""
-        return sorted(self.distinct.difference(_SYMBOLS))
-
-    def build(self, atom, neg, conj, disj, iff):
-        """The value of the formula in the algebra given by one function
-        per token: ``atom(name)``, ``neg(x)``, ``conj(x, y)``,
-        ``disj(x, y)`` and ``iff(x, y)``.
-
-        Raises :class:`ParseError` on malformed input and on input
-        nested deeper than ``MAX_DEPTH``.
-        """
-        return _Descent(self, atom, neg, conj, disj, iff).run()
-
-    def position(self, k: int) -> int:
-        """Where the k-th token starts; the end of input is one past the
-        last."""
-        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
-        return (starts + [len(self.text)])[k]
+    tokens = _TOKEN_RE.findall(text)
+    distinct = set(tokens)
+    # the only one-character tokens outside _ONE_CHAR_TOKENS are strays
+    if 1 in map(len, distinct.difference(_ONE_CHAR_TOKENS)):
+        k = next(k for k, t in enumerate(tokens) if len(t) == 1 and t not in _ONE_CHAR_TOKENS)
+        _fail(f"unexpected character {tokens[k]!r}", text, k)
+    tokens.append("")
+    return tokens, distinct.difference(_SYMBOLS)
 
 
-class _Descent:
-    """Precedence climbing (Clarke 1986): one loop, :meth:`binary`, reads
-    every binary operator from ``_BINARY``; it and :meth:`unary` return
-    a value and its level.
+def _fail(message: str, text: str, k: int):
+    """Raise :class:`ParseError` at the start of the k-th token of
+    ``text``; the end of input is one past the last."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    raise ParseError(message, (starts + [len(text)])[k])
 
-    Both the open ``(`` and ``~`` around the current token and the level
-    of every node built are held to ``MAX_DEPTH``: the first bounds the
-    parser's own recursion, the second every later walk of the tree
-    (a left fold ``p & p & ...`` is deep without any nesting)."""
 
-    def __init__(self, scanned: Scanned, atom, neg, conj, disj, iff):
-        self.scanned = scanned
-        self.tokens = scanned.tokens
-        self.i = 0
-        self.open = 0
-        self.atom, self.neg, self.conj, self.disj, self.iff = atom, neg, conj, disj, iff
+def build(text: str, tokens: list[str], atom, neg, conj, disj, iff):
+    """The value of ``text``, cut into ``tokens`` by :func:`tokenize`,
+    in the algebra given by one function per token: ``atom(name)``,
+    ``neg(x)``, ``conj(x, y)``, ``disj(x, y)`` and ``iff(x, y)``.
 
-    def run(self):
-        value = self.binary(*self.unary(), 0)[0]
-        self.take("")
-        return value
+    Operator precedence with explicit stacks (Dijkstra's shunting yard,
+    1961): each operator waits on a stack, with its token index, until
+    the token after its right operand binds no more strongly; then it is
+    applied to the operands, innermost first. A "~" is applied as soon
+    as its operand is complete, and a ")" applies every operator back to
+    its "(". Both the open "(" and "~" and the level of every value
+    built are held to ``MAX_DEPTH``: the first bounds the nesting of
+    the text, the second every later walk of the tree (a left fold
+    ``p & p & ...`` is deep without any nesting).
 
-    def fail(self, message: str, k: int):
-        raise ParseError(message, self.scanned.position(k))
-
-    def too_deep(self, k: int):
-        self.fail(f"nested deeper than {MAX_DEPTH} levels", k)
-
-    def take(self, token: str) -> None:
-        found = self.tokens[self.i]
-        if found != token:
-            self.fail(f"expected {_KIND[token]}, found {found or 'end of input'!r}", self.i)
-        self.i += 1
-
-    def binary(self, value, depth: int, floor: int):
-        """``value``, of level ``depth``, joined left to right with the
-        operands of the operators that bind at least ``floor`` strongly.
-        An operand is one unary, or more when a stronger operator follows
-        it."""
-        tokens = self.tokens
-        while (op := _BINARY.get(tokens[self.i])) is not None and op[0] >= floor:
-            strength, name, levels = op
-            k = self.i
-            self.i += 1
-            rhs, rdepth = self.unary()
-            if (after := _BINARY.get(tokens[self.i])) is not None and after[0] > strength:
-                rhs, rdepth = self.binary(rhs, rdepth, strength + 1)
-            value = getattr(self, name)(value, rhs)
-            depth = max(depth, rdepth) + levels
-            if depth > MAX_DEPTH:
-                self.too_deep(k)
-        return value, depth
-
-    def unary(self):
-        k = self.i
-        token = self.tokens[k]
-        if token not in _SYMBOLS:
-            self.i = k + 1
-            return self.atom(token), 0
-        if token != "~" and token != "(":
-            self.fail(f"expected a formula, found {token or 'end of input'!r}", k)
-        self.i = k + 1
-        self.open += 1
-        if self.open > MAX_DEPTH:
-            self.too_deep(k)
-        if token == "~":
-            child, depth = self.unary()
-            value, depth = self.neg(child), depth + 1
-            if depth > MAX_DEPTH:
-                self.too_deep(k)
-        else:
-            value, depth = self.binary(*self.unary(), 0)
-            self.take(")")
-        self.open -= 1
-        return value, depth
+    Raises :class:`ParseError` on malformed input and on input nested
+    deeper than ``MAX_DEPTH``, at the token where it is found.
+    """
+    join = (iff, disj, conj)  # by binding strength
+    operands = []  # the left operand, and its level, of each binary operator on ops
+    ops = []  # (strength, token index) of each operator not yet applied
+    nesting = 0  # the "(" and "~" on ops
+    k = 0
+    while True:
+        token = tokens[k]
+        if token == "~" or token == "(":
+            nesting += 1
+            if nesting > MAX_DEPTH:
+                _fail(_TOO_DEEP, text, k)
+            ops.append((_NOT if token == "~" else _OPEN, k))
+            k += 1
+            continue
+        if token in _SYMBOLS:
+            _fail(f"expected a formula, found {token or 'end of input'!r}", text, k)
+        value, depth = atom(token), 0
+        k += 1
+        # an operand is complete: apply the "~" before it, then the
+        # operators that bind at least as strongly as the next token
+        while True:
+            while ops and ops[-1][0] == _NOT:
+                j = ops.pop()[1]
+                nesting -= 1
+                value, depth = neg(value), depth + 1
+                if depth > MAX_DEPTH:
+                    _fail(_TOO_DEEP, text, j)
+            token = tokens[k]
+            floor = _BINARY.get(token, 0)
+            while ops and ops[-1][0] >= floor:
+                strength, j = ops.pop()
+                left, ldepth = operands.pop()
+                value = join[strength](left, value)
+                depth = (ldepth if ldepth > depth else depth) + _LEVELS[strength]
+                if depth > MAX_DEPTH:
+                    _fail(_TOO_DEEP, text, j)
+            if token in _BINARY:
+                operands.append((value, depth))
+                ops.append((floor, k))
+                k += 1
+                break
+            if token == ")" and ops:  # ops ends in its "("
+                ops.pop()
+                nesting -= 1
+                k += 1
+                continue
+            if ops:
+                _fail(f"expected rpar, found {token or 'end of input'!r}", text, k)
+            if token:
+                _fail(f"expected eof, found {token!r}", text, k)
+            return value
 
 
 def _iff_node(a: Formula, b: Formula) -> Formula:
@@ -300,7 +279,7 @@ def parse(text: str) -> Formula:
     Raises :class:`ParseError` with the offending position on malformed
     input, and on input nested deeper than ``MAX_DEPTH``.
     """
-    return Scanned(text).build(Atom, Not, And, Or, _iff_node)
+    return build(text, tokenize(text)[0], Atom, Not, And, Or, _iff_node)
 
 
 # --- printing ----------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from ._record import record
 from .errors import ParseError, ResourceLimit
-from .formula import ATOM_RE, And, Atom, Formula, Not, Or, Scanned, Valuation, atoms_of, fold
+from .formula import ATOM_RE, And, Atom, Formula, Not, Or, Valuation, atoms_of, build, fold, tokenize
 
 DEFAULT_ATOM_CAP = 16
 MAX_ATOM_CAP = 24
@@ -165,16 +165,6 @@ def _swap(t: int, cols: tuple[int, ...], i: int) -> int:
     return t & ~(up | down) | (t & up) << s | (t & down) >> s
 
 
-def _halves(t: int, n: int, i: int) -> tuple[int, int]:
-    """The cofactors of ``t`` at variable i = 0 and i = 1, as tables over
-    the other n-1 variables in their order."""
-    cols = _columns(n)
-    for k in range(i, n - 1):
-        t = _swap(t, cols, k)
-    half = 1 << (n - 1)
-    return t & ((1 << half) - 1), t >> half
-
-
 TAUTOLOGY = PropClass((), (1,))
 CONTRADICTION = PropClass((), (0,))
 
@@ -197,15 +187,20 @@ def _expand(c: PropClass, atoms: Sequence[str]) -> int:
 
 
 def _pruned(atoms: Sequence[str], t: int) -> PropClass:
-    """Project out the atoms the table does not depend on."""
+    """Project out the atoms the table does not depend on, in one pass
+    from the lowest variable up, as :func:`_quantified` does."""
     n = len(atoms)
-    cols = _columns(n)
-    dead = [i for i in range(n) if not _essential(t, cols, i)]
-    for i in reversed(dead):  # the variables below i keep their index
-        t = _halves(t, n, i)[0]
-        n -= 1
-    dropped = {len(atoms) - 1 - i for i in dead}
-    return _make(tuple(a for j, a in enumerate(atoms) if j not in dropped), t)
+    kept, gap = [], 0
+    for i, col in enumerate(_columns(n)):  # variable i is atom n-1-i
+        x = t & col
+        if x == (t << (1 << i)) & col:  # inessential: drop its rows
+            t ^= x
+            gap += 1
+        else:
+            if gap:  # move its rows down past the dropped variables
+                t = t ^ x | x >> ((1 << i) - (1 << (i - gap)))
+            kept.append(atoms[n - 1 - i])
+    return _make(tuple(reversed(kept)), t)
 
 
 def canonicalize(f: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
@@ -228,17 +223,15 @@ def canonicalize_text(text: str, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
     the cap raises :class:`ResourceLimit`: input over the cap still runs
     through the grammar, with every table 0.
     """
-    scanned = Scanned(text)
-    atoms = scanned.atoms()
-    n = len(atoms)
+    tokens, names = tokenize(text)
+    n = len(names)
     if n > atom_cap:
-        scanned.build(dict.fromkeys(atoms, 0).__getitem__, (0).__xor__, and_, or_, xor)
+        build(text, tokens, dict.fromkeys(names, 0).__getitem__, (0).__xor__, and_, or_, xor)
         raise ResourceLimit(f"{n} atoms exceed the support cap of {atom_cap}")
+    atoms = sorted(names)
     full = (1 << (1 << n)) - 1
     column = dict(zip(atoms, reversed(_columns(n))))
-    t = scanned.build(
-        column.__getitem__, full.__xor__, and_, or_, lambda a, b: full ^ a ^ b
-    )
+    t = build(text, tokens, column.__getitem__, full.__xor__, and_, or_, lambda a, b: full ^ a ^ b)
     return _pruned(atoms, t)
 
 
@@ -301,13 +294,19 @@ def big_or(classes: Iterable[PropClass], atom_cap: int = DEFAULT_ATOM_CAP) -> Pr
 
 def _quantified(c: PropClass, keep: set[str], exists: bool) -> int:
     """The table of ``c`` over its atoms in ``keep``, with every other
-    atom quantified out existentially or universally."""
-    t, n = c.bits, len(c.support)
-    for j, a in enumerate(c.support):  # highest variable first
-        if a not in keep:
-            low, high = _halves(t, n, len(c.support) - 1 - j)
-            t = low | high if exists else low & high
-            n -= 1
+    atom quantified out existentially or universally.
+
+    One pass from the lowest variable up: a variable quantified out
+    merges its rows where it is 1 into those where it is 0, and every
+    later variable moves its rows down past the gaps this leaves."""
+    t, n, gap = c.bits, len(c.support), 0
+    for i, col in enumerate(_columns(n)):  # variable i is atom n-1-i
+        x = t & col
+        if c.support[n - 1 - i] not in keep:
+            t = t ^ x | x >> (1 << i) if exists else (t ^ x) & x >> (1 << i)
+            gap += 1
+        elif gap:
+            t = t ^ x | x >> ((1 << i) - (1 << (i - gap)))
     return t
 
 
@@ -321,9 +320,12 @@ def entails(a: PropClass, b: PropClass) -> bool:
     Compared over the shared atoms: ``a`` entails ``b`` exactly when
     ``a`` with its own atoms quantified existentially entails ``b`` with
     its own atoms quantified universally, so no table grows beyond its
-    operands and no cap applies.
+    operands and no cap applies. Over no shared atom that leaves the
+    constants: every other class is satisfiable and not valid.
     """
     shared = set(a.support) & set(b.support)
+    if not shared:
+        return a == CONTRADICTION or b == TAUTOLOGY
     return _quantified(a, shared, True) & ~_quantified(b, shared, False) == 0
 
 

@@ -10,10 +10,11 @@ valuation entries) are touched, never the operation paths under test.
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 from prooflab import And, Atom, Deduction, Not, Or, ParseError, ProofNode, PropClass, SigmaPrime
-from prooflab.formula import MAX_DEPTH, Scanned, fold
+from prooflab.formula import MAX_DEPTH, fold
 
 
 def eval_bool(f, assignment: dict[str, int], default: int = 0) -> int:
@@ -422,9 +423,109 @@ def scrambled_text(rng: random.Random, r: ProofNode) -> str:
 
 
 # --- the formula grammar, one method per rule ----------------------------------
-# The reference for formula._Descent's precedence loop: recursive descent
-# with one method per binary rule, each with its own level check, run on
-# the tokens of prooflab's Scanned.
+# The references for formula.build's operator-precedence loop: the
+# tokenizer and precedence-climbing loop (Clarke 1986) it replaced, and
+# recursive descent with one method per binary rule, each with its own
+# level check, run on the same tokens.
+
+_TOKEN_RE = re.compile(r"\s*([a-z][a-z0-9_]*|<->|[~&|()]|\S)")
+_ONE_CHAR_TOKENS = frozenset("abcdefghijklmnopqrstuvwxyz~&|()")
+_BINARY = {"<->": (0, "iff", 3), "|": (1, "disj", 1), "&": (2, "conj", 1)}
+_SYMBOLS = frozenset(_BINARY).union(("~", "(", ")", ""))
+_KIND = {")": "rpar", "": "eof"}
+
+
+def _is_stray(token: str) -> bool:
+    return len(token) == 1 and token not in _ONE_CHAR_TOKENS
+
+
+class Scanned:
+    """A formula text cut into tokens; a character that starts no token
+    raises :class:`ParseError` here, before any grammar error."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        if any(_is_stray(t) for t in set(self.tokens)):
+            k = next(k for k, t in enumerate(self.tokens) if _is_stray(t))
+            raise ParseError(f"unexpected character {self.tokens[k]!r}", self.position(k))
+        self.tokens.append("")
+
+    def position(self, k: int) -> int:
+        """Where the k-th token starts; the end of input is one past the
+        last."""
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        return (starts + [len(self.text)])[k]
+
+
+class ClimbingOracle:
+    """Precedence climbing: one loop, :meth:`binary`, reads every binary
+    operator from ``_BINARY``; it and :meth:`unary` return a value and
+    its level."""
+
+    def __init__(self, scanned: Scanned, atom, neg, conj, disj, iff):
+        self.scanned = scanned
+        self.tokens = scanned.tokens
+        self.i = 0
+        self.open = 0
+        self.atom, self.neg, self.conj, self.disj, self.iff = atom, neg, conj, disj, iff
+
+    def run(self):
+        value = self.binary(*self.unary(), 0)[0]
+        self.take("")
+        return value
+
+    def fail(self, message: str, k: int):
+        raise ParseError(message, self.scanned.position(k))
+
+    def too_deep(self, k: int):
+        self.fail(f"nested deeper than {MAX_DEPTH} levels", k)
+
+    def take(self, token: str) -> None:
+        found = self.tokens[self.i]
+        if found != token:
+            self.fail(f"expected {_KIND[token]}, found {found or 'end of input'!r}", self.i)
+        self.i += 1
+
+    def binary(self, value, depth: int, floor: int):
+        """``value``, of level ``depth``, joined left to right with the
+        operands of the operators that bind at least ``floor`` strongly."""
+        tokens = self.tokens
+        while (op := _BINARY.get(tokens[self.i])) is not None and op[0] >= floor:
+            strength, name, levels = op
+            k = self.i
+            self.i += 1
+            rhs, rdepth = self.unary()
+            if (after := _BINARY.get(tokens[self.i])) is not None and after[0] > strength:
+                rhs, rdepth = self.binary(rhs, rdepth, strength + 1)
+            value = getattr(self, name)(value, rhs)
+            depth = max(depth, rdepth) + levels
+            if depth > MAX_DEPTH:
+                self.too_deep(k)
+        return value, depth
+
+    def unary(self):
+        k = self.i
+        token = self.tokens[k]
+        if token not in _SYMBOLS:
+            self.i = k + 1
+            return self.atom(token), 0
+        if token != "~" and token != "(":
+            self.fail(f"expected a formula, found {token or 'end of input'!r}", k)
+        self.i = k + 1
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            self.too_deep(k)
+        if token == "~":
+            child, depth = self.unary()
+            value, depth = self.neg(child), depth + 1
+            if depth > MAX_DEPTH:
+                self.too_deep(k)
+        else:
+            value, depth = self.binary(*self.unary(), 0)
+            self.take(")")
+        self.open -= 1
+        return value, depth
 
 
 class DescentOracle:
@@ -522,6 +623,11 @@ def _iff_oracle(a, b):
 def parse_oracle(text: str):
     """The AST of ``text`` by the one-method-per-rule grammar."""
     return DescentOracle(Scanned(text), Atom, Not, And, Or, _iff_oracle).run()
+
+
+def parse_climbing_oracle(text: str):
+    """The AST of ``text`` by the precedence-climbing loop."""
+    return ClimbingOracle(Scanned(text), Atom, Not, And, Or, _iff_oracle).run()
 
 
 def subtree_number(f, table: dict) -> int:

@@ -1,11 +1,14 @@
 import hashlib
+import io
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import prooflab
 from prooflab import (
@@ -71,6 +74,32 @@ def test_read_deduction_with_directive(tmp_path, sigma_file):
     empty.write_text("# nothing\n")
     with pytest.raises(ParseError):
         read_deduction_file(str(empty))
+
+
+# the line boundaries of str.splitlines other than LF, CR LF and CR
+UNICODE_LINE_BOUNDARIES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", UNICODE_LINE_BOUNDARIES)
+def test_unicode_line_boundaries_do_not_end_a_line(capsys, tmp_path, sep):
+    base = tmp_path / "base.txt"
+    base.write_text(f"p{sep}q\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="expected eof, found 'q'"):
+        read_sigma_file(str(base))
+    ded = tmp_path / "ded.txt"
+    ded.write_text(f"p\np | q{sep}r\np | r\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="expected eof, found 'r'"):
+        read_deduction_file(str(ded))
+    # the CLI reads the base line as one malformed formula, not as p and q
+    ded.write_text("p\n")
+    code, out, err = run_cli(capsys, "check", str(ded), "--sigma", str(base))
+    assert (code, out, err) == (1, "", "error: ParseError: expected eof, found 'q' (at position 2)\n")
+
+
+def test_lines_end_at_lf_crlf_and_cr():
+    from prooflab.files import read_sigma_text
+
+    assert read_sigma_text("p\r\nq\rr\n\r\n# s\r") == frozenset({cls("p"), cls("q"), cls("r")})
 
 
 def test_proof_file_round_trip(tmp_path):
@@ -746,6 +775,69 @@ def test_cli_help_and_usage_bytes_repeat(capsys, monkeypatch):
     narrow = run_cli(capsys, "check", "--help")
     assert narrow != first[1]
     assert narrow == run_process("check", "--help")
+
+
+# argv pieces: command names and near misses, full and abbreviated
+# options, and values in and out of range ("3" is left out, since
+# "rules --atoms 3" takes seconds)
+DISPATCH_HEADS = [
+    "parse", "check", "interpret", "prove", "eq", "add", "smul", "axioms",
+    "replace", "extract", "eliminate", "rules",
+    "chec", "pars", "ru", "nope", "Check", "check ", "", "-h", "--help", "--", "--sigma",
+]
+DISPATCH_OPTIONS = [
+    "--sigma", "--sig", "--atom-cap", "--atom", "--default-bit", "--format", "--form",
+    "--output", "--atoms", "--samples", "--seed", "--report", "--target", "--donor",
+    "--sigma-class", "--single-path", "-h", "--help", "--he", "--nope", "-x",
+]
+DISPATCH_VALUES = [
+    "p", "p & q", "~", "nosuch.txt", "0", "1", "2", "24", "25", "-1", "x", "",
+    "canonical", "pretty", "dnf", "e",
+]
+
+
+@st.composite
+def dispatch_argvs(draw):
+    argv = [draw(st.sampled_from(DISPATCH_HEADS))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            argv.append(draw(st.sampled_from(DISPATCH_OPTIONS)))
+        elif kind == 1:
+            option, value = draw(st.sampled_from(DISPATCH_OPTIONS)), draw(st.sampled_from(DISPATCH_VALUES))
+            argv.append(f"{option}={value}")
+        elif kind == 2:
+            argv.append(draw(st.sampled_from(DISPATCH_VALUES)))
+        else:
+            argv.append("--")
+    return argv
+
+
+def test_cli_dispatch_changes_no_byte(tmp_path, monkeypatch):
+    # run hands an argv that names a command to that command's parser;
+    # with the map of commands emptied, every argv takes the full parser
+    monkeypatch.setenv("COLUMNS", "72")
+    monkeypatch.chdir(tmp_path)
+    commands = _build_parser()[1]
+
+    def captured(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=400, deadline=None)
+    @given(dispatch_argvs())
+    def same_bytes(argv):
+        direct = captured(argv)
+        saved = dict(commands)
+        commands.clear()
+        try:
+            assert captured(argv) == direct
+        finally:
+            commands.update(saved)
+
+    same_bytes()
 
 
 DEEP_INPUTS = {

@@ -22,7 +22,13 @@ from prooflab import (
 )
 from prooflab.formula import MAX_DEPTH
 
-from _oracles import all_assignments, eval_bool, parse_oracle, subtree_number
+from _oracles import (
+    all_assignments,
+    eval_bool,
+    parse_climbing_oracle,
+    parse_oracle,
+    subtree_number,
+)
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -54,7 +60,12 @@ def test_iff_desugars():
 
 @pytest.mark.parametrize(
     "text,pos",
-    [("p &", 3), ("", 0), ("(p | q", 6), ("p ? q", 2), ("P", 0), ("p | | q", 4)],
+    [
+        ("p &", 3), ("", 0), ("(p | q", 6), ("p ? q", 2), ("P", 0), ("p | | q", 4),
+        # inside parentheses and under "~"
+        ("(p ? q)", 3), ("~)", 1), ("~~~", 3), ("(p q", 3), ("p & (q", 6), ("(p))", 3),
+        ("~p q", 3),
+    ],
 )
 def test_parse_errors_carry_position(text, pos):
     with pytest.raises(ParseError) as exc:
@@ -319,6 +330,34 @@ def test_grammar_matches_reference_grammar(text, cap):
     table = {}
     assert grammar_outcome(text, cap, parse, canonicalize_text, table) == grammar_outcome(
         text, cap, parse_oracle, reference_grammar_class, table
+    )
+
+
+def climbing_class(text, cap):
+    return canonicalize(parse_climbing_oracle(text), cap)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(mutated_formulas(), long_chains()), st.integers(0, 16))
+# each error kind inside parentheses and under "~"
+@example("(p ? q)", 16)
+@example("~?", 16)
+@example("(p &)", 16)
+@example("~)", 16)
+@example("~~~", 16)
+@example("(p q", 16)
+@example("p & (q", 16)
+@example("~(p", 16)
+@example("(p))", 16)
+@example("~p q", 16)
+@example("(" + "~" * 100 + "p)", 16)
+@example("~(" + " & ".join(["p"] * 101) + ")", 16)
+@example("(" + chain(17) + " q", 16)
+def test_loop_matches_precedence_climbing(text, cap):
+    # the loop against the precedence-climbing loop it replaced
+    table = {}
+    assert grammar_outcome(text, cap, parse, canonicalize_text, table) == grammar_outcome(
+        text, cap, parse_climbing_oracle, climbing_class, table
     )
 
 

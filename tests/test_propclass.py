@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prooflab import (
     CONTRADICTION,
@@ -209,6 +209,18 @@ POOL = [f"v{i}" for i in range(8)]
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+# seeds whose classes share no atom: both constant ([;0] and [;0]),
+# disjoint supports of one to four atoms each, and a constant ([;0] or
+# [;1]) on either side of a class over one to three atoms
+@example(19)
+@example(1)
+@example(15)
+@example(191)
+@example(29930)
+@example(3)
+@example(4)
+@example(175)
+@example(0)
 def test_table_ops_match_mask_oracle(seed):
     # two formulas over random subsets of eight atoms, so their supports
     # interleave in sorted order, each padded with up to three atoms it
