@@ -150,8 +150,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _load_sigma(args, steps_premises: str | None = None) -> SigmaPrime:
-    path = args.sigma or steps_premises
-    base = read_sigma_file(path, args.atom_cap) if path else frozenset()
+    # an empty --sigma names an unreadable file, not a missing option
+    path = steps_premises if args.sigma is None else args.sigma
+    base = frozenset() if path is None else read_sigma_file(path, args.atom_cap)
     sp = lindenbaum_extend(base, args.default_bit)
     print(f"witness: {sp.witness_text()}", file=sys.stderr)
     return sp
@@ -188,14 +189,72 @@ def _emit_proof(args, r: ProofNode, pretty: bool = False) -> None:
         sys.stdout.write(text)
 
 
+@lru_cache(maxsize=None)
+def _option_table(parser: argparse.ArgumentParser) -> tuple:
+    """``parser``'s one-value options by option string, its positionals
+    in order, the dests of its required options and its defaults, read
+    once from its actions; the help action takes no value and is left
+    out, so ``-h`` goes to argparse."""
+    options, positionals, required, defaults = {}, [], set(), {}
+    for action in parser._actions:
+        if action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if action.nargs is not None:
+            continue
+        if not action.option_strings:
+            positionals.append(action)
+        elif action.required:
+            required.add(action.dest)
+        options.update(dict.fromkeys(action.option_strings, action))
+    return options, positionals, required, defaults
+
+
+def _table_args(
+    command: str, argv: list[str], parser: argparse.ArgumentParser
+) -> argparse.Namespace | None:
+    """The namespace ``parser`` makes of ``argv`` when every option is
+    spelled in full and followed by a value, the positionals fill the
+    command's own, every required option appears and every value passes
+    its type and choices; None for any other argv."""
+    options, positionals, required, defaults = _option_table(parser)
+    values, filled = {}, 0
+    tokens = iter(argv)
+    for token in tokens:
+        action = options.get(token)
+        if action is not None:
+            token = next(tokens, "-")
+        elif filled < len(positionals):
+            action = positionals[filled]
+            filled += 1
+        else:
+            return None
+        if token[:1] == "-":
+            return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if filled < len(positionals) or not required <= values.keys():
+        return None
+    return argparse.Namespace(command=command, **{**defaults, **values})
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed by the parser of the command it names; any other
-    argv, and one that leaves arguments over, goes through the full
-    parser, which reports every usage error in its own words."""
+    """``argv`` decoded by the option table of the command it names, or
+    else parsed by that command's parser; any other argv, and one that
+    leaves arguments over, goes through the full parser, which reports
+    every usage error in its own words."""
     top, commands = _build_parser()
     if argv and argv[0] in commands:
+        parser = commands[argv[0]]
+        args = _table_args(argv[0], argv[1:], parser)
+        if args is not None:
+            return args
         namespace = argparse.Namespace(command=argv[0])
-        args, extras = commands[argv[0]].parse_known_args(argv[1:], namespace)
+        args, extras = parser.parse_known_args(argv[1:], namespace)
         if not extras:
             return args
     return top.parse_args(argv)

@@ -6,7 +6,7 @@ with ``#`` is a comment and blank lines are ignored. A deduction
 file may open with a ``premises: <path>`` directive naming a base-set
 file (resolved relative to the deduction file). Proof files are
 versioned with a leading ``format: 1`` line followed by the canonical
-serialization.
+serialization, and their lines end where those of the other files do.
 """
 
 from __future__ import annotations
@@ -20,11 +20,23 @@ from .proof import ProofNode, canonical_serialize, parse_proof, text_length
 PROOF_FORMAT_LINE = "format: 1"
 
 
+def _read_text(path: str) -> str:
+    # the line splitter folds CR LF and CR, so text mode's newline
+    # translation would do no work an output needs; decoding the whole
+    # file in one call keeps the position a UnicodeDecodeError names
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
+def _split_lines(text: str) -> list[str]:
+    # str.splitlines would also cut a line at a form feed or a Unicode
+    # line separator
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _content_lines(text: str) -> list[str]:
-    # str.splitlines would also cut a formula at a form feed or a
-    # Unicode line separator
     out = []
-    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+    for line in _split_lines(text):
         line = line.strip()
         if line and not line.startswith("#"):
             out.append(line)
@@ -36,16 +48,14 @@ def read_sigma_text(text: str, atom_cap: int = DEFAULT_ATOM_CAP) -> frozenset[Pr
 
 
 def read_sigma_file(path: str, atom_cap: int = DEFAULT_ATOM_CAP) -> frozenset[PropClass]:
-    with open(path, encoding="utf-8") as fh:
-        return read_sigma_text(fh.read(), atom_cap)
+    return read_sigma_text(_read_text(path), atom_cap)
 
 
 def read_deduction_file(
     path: str, atom_cap: int = DEFAULT_ATOM_CAP
 ) -> tuple[list[PropClass], str | None]:
     """Returns the step classes and the premises-directive path, if any."""
-    with open(path, encoding="utf-8") as fh:
-        lines = _content_lines(fh.read())
+    lines = _content_lines(_read_text(path))
     premises_path = None
     if lines and lines[0].startswith("premises:"):
         premises_path = lines[0].split(":", 1)[1].strip()
@@ -72,16 +82,15 @@ def write_proof_file(path: str, r: ProofNode) -> None:
 
 
 def read_proof_text(text: str) -> ProofNode:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != PROOF_FORMAT_LINE:
+    lines = _split_lines(text)
+    if lines[0].strip() != PROOF_FORMAT_LINE:
         raise ParseError("proof file must start with 'format: 1'")
     body = "".join(line.strip() for line in lines[1:])
     return parse_proof(body)
 
 
 def read_proof_file(path: str) -> ProofNode:
-    with open(path, encoding="utf-8") as fh:
-        return read_proof_text(fh.read())
+    return read_proof_text(_read_text(path))
 
 
 def read_formula_arg(text: str, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import os
@@ -8,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import prooflab
 from prooflab import (
@@ -23,7 +24,8 @@ from prooflab import (
     parse,
     proof_eq,
 )
-from prooflab.cli import _build_parser, main, run
+from prooflab import cli
+from prooflab.cli import _build_parser, _table_args, main, run
 from prooflab.files import (
     proof_file_text,
     read_deduction_file,
@@ -100,6 +102,18 @@ def test_lines_end_at_lf_crlf_and_cr():
     from prooflab.files import read_sigma_text
 
     assert read_sigma_text("p\r\nq\rr\n\r\n# s\r") == frozenset({cls("p"), cls("q"), cls("r")})
+
+
+def test_proof_lines_end_at_lf_crlf_and_cr_only():
+    # str.splitlines would end the version line at U+2028 and join the
+    # body across it
+    with pytest.raises(ParseError, match="must start with 'format: 1'"):
+        read_proof_text("format: 1\u2028{[p;01],{0}}\n")
+    with pytest.raises(ParseError):
+        read_proof_text("format: 1\n{[p;01],\u2028{0}}\n")
+    text = "format: 1\n{[p,q;0111],\n{{[p;01],\n{0}}}}\n"
+    reads = [read_proof_text(text.replace("\n", end)) for end in ("\n", "\r\n", "\r")]
+    assert reads[0] == reads[1] == reads[2] == node("p | q", node("p"))
 
 
 def test_proof_file_round_trip(tmp_path):
@@ -725,6 +739,77 @@ def test_cli_read_errors_are_domain_errors(capsys, tmp_path, ded_file, sigma_fil
     assert "Traceback" not in err
 
 
+# 285 comment lines of 63 bytes put the latin-1 byte past 16 KiB
+LATIN_TAIL = ("# " + "x" * 60 + "\n") * 285 + "p\ncaf\xe9\n"
+
+
+def test_cli_readers_keep_their_decode_error(capsys, tmp_path, ded_file, sigma_file):
+    # the lines text-mode reads printed: both ways decode the whole file
+    # in one call, so the position is the same
+    for name in ("base.txt", "ded.txt"):
+        (tmp_path / name).write_bytes(LATIN_TAIL.encode("latin-1"))
+    (tmp_path / "a.proof").write_bytes(
+        ("format: 1\n" + " " * 18000 + "{[p;01],{0}}\xe9\n").encode("latin-1")
+    )
+    error = (
+        "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9"
+        " in position %d: invalid continuation byte\n"
+    )
+    for argv, position in [
+        (["check", ded_file, "--sigma", str(tmp_path / "base.txt")], 17960),
+        (["check", str(tmp_path / "ded.txt"), "--sigma", sigma_file], 17960),
+        (["eq", str(tmp_path / "a.proof"), str(tmp_path / "a.proof")], 18022),
+    ]:
+        assert run_cli(capsys, *argv) == (1, "", error % position)
+
+
+def test_cli_readers_fold_line_ends_and_keep_a_bom(capsys, tmp_path):
+    files = {"base.txt": "# base\np\nq | r\n", "ded.txt": "p\np | q\n\np | q | r\n"}
+    files["a.proof"] = proof_file_text(node("p | q", node("p"), node("q")))
+
+    def outputs(end, lead=""):
+        for name, text in files.items():
+            (tmp_path / name).write_bytes((lead + text.replace("\n", end)).encode("utf-8"))
+        paths = {name: str(tmp_path / name) for name in files}
+        return [
+            run_cli(capsys, "check", paths["ded.txt"], "--sigma", paths["base.txt"]),
+            run_cli(capsys, "eq", paths["a.proof"], paths["a.proof"]),
+        ]
+
+    lf = outputs("\n")
+    assert [code for code, _, _ in lf] == [0, 0]
+    assert outputs("\r\n") == outputs("\r") == lf
+    # text mode kept a byte order mark as U+FEFF, and so do bytes
+    bom = "error: ParseError: unexpected character '\\ufeff' (at position 0)\n"
+    assert outputs("\n", "\ufeff") == [
+        (1, "", bom),
+        (1, "", "error: ParseError: proof file must start with 'format: 1'\n"),
+    ]
+    (tmp_path / "ded.txt").write_text(files["ded.txt"])
+    argv = ["check", str(tmp_path / "ded.txt"), "--sigma", str(tmp_path / "base.txt")]
+    assert run_cli(capsys, *argv) == (1, "", bom)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["axioms", "--sigma", "", "--atoms", "1", "--samples", "0"],
+        ["check", "@d.txt", "--sigma", ""],
+        ["check", "d.txt"],
+    ],
+)
+def test_cli_empty_base_path_is_unreadable(capsys, tmp_path, monkeypatch, argv):
+    # an empty --sigma names no file, not no base set, and does not hand
+    # over to the premises directive; nor does an empty directive
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "base.txt").write_text("p\n")
+    (tmp_path / "d.txt").write_text("premises:\np\n")
+    (tmp_path / "e.txt").write_text("premises: base.txt\np\n")
+    argv = [str(tmp_path / "e.txt") if a == "@d.txt" else a for a in argv]
+    error = "error: FileNotFoundError: [Errno 2] No such file or directory: ''\n"
+    assert run_cli(capsys, *argv) == (1, "", error)
+
+
 @pytest.mark.parametrize("command", ["rules", "axioms"])
 def test_cli_atoms_range(capsys, command, sigma_file):
     sigma = ["--sigma", sigma_file, "--samples", "5"] if command == "axioms" else []
@@ -814,8 +899,10 @@ def dispatch_argvs(draw):
 
 
 def test_cli_dispatch_changes_no_byte(tmp_path, monkeypatch):
-    # run hands an argv that names a command to that command's parser;
-    # with the map of commands emptied, every argv takes the full parser
+    # run decodes an argv that names a command with that command's option
+    # table, and else hands it to that command's parser; with the table
+    # route shut, the command parser serves it, and with the map of
+    # commands emptied, every argv takes the full parser
     monkeypatch.setenv("COLUMNS", "72")
     monkeypatch.chdir(tmp_path)
     commands = _build_parser()[1]
@@ -829,15 +916,107 @@ def test_cli_dispatch_changes_no_byte(tmp_path, monkeypatch):
     @settings(max_examples=400, deadline=None)
     @given(dispatch_argvs())
     def same_bytes(argv):
-        direct = captured(argv)
+        table = captured(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_table_args", lambda *args: None)
+            assert captured(argv) == table
         saved = dict(commands)
         commands.clear()
         try:
-            assert captured(argv) == direct
+            assert captured(argv) == table
         finally:
             commands.update(saved)
 
     same_bytes()
+
+
+# one argv for each reason the option table leaves an argv to argparse:
+# an option with "=", abbreviated or not declared; a repeated option
+# whose first value fails its choices; a value that fails its type or
+# starts with "-"; "--" and "-"; an empty value that fails its type; an
+# extra positional, and a required option left out
+TABLE_FALLBACKS = [
+    ["check", "d.txt", "--sigma=s.txt"],
+    ["check", "d.txt", "--sig", "s.txt"],
+    ["parse", "p", "-h"],
+    ["check", "d.txt", "--default-bit", "5", "--default-bit", "1"],
+    ["parse", "p", "--atom-cap", "25"],
+    ["axioms", "--sigma", "s.txt", "--seed", "-5"],
+    ["check", "--", "d.txt"],
+    ["check", "-"],
+    ["rules", "--atoms", ""],
+    ["eq", "a.proof", "b.proof", "c.proof"],
+    ["add", "a.proof", "b.proof"],
+]
+
+
+def command_argvs():
+    """Argv for one command: its positionals and some of its options in
+    any order, with values in and out of each option's type and choices,
+    and now and then a piece only argparse serves."""
+    commands = _build_parser()[1]
+    values = DISPATCH_VALUES + ["-5", "3", "s.txt"]
+    noise = ["--sig", "--sigma=s.txt", "--", "-", "-h", "--nope", "p"]
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(sorted(commands)))
+        groups = []
+        for action in commands[command]._actions:
+            if action.dest == "help" or action.option_strings and draw(st.booleans()):
+                continue
+            pool = [str(c) for c in action.choices or ()] or values
+            groups.append(action.option_strings[-1:] + [draw(st.sampled_from(pool))])
+        argv = [command] + [w for g in draw(st.permutations(groups)) for w in g]
+        if draw(st.integers(0, 3)) == 0:
+            argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(noise)))
+        return argv
+
+    return argvs()
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_argvs())
+@example(["check", "d.txt", "--sigma", ""])
+def test_table_namespace_is_the_command_parsers(argv):
+    parser = _build_parser()[1][argv[0]]
+    args = _table_args(argv[0], argv[1:], parser)
+    if args is not None:
+        assert args == parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+for _argv in TABLE_FALLBACKS:
+    test_table_namespace_is_the_command_parsers = example(_argv)(
+        test_table_namespace_is_the_command_parsers
+    )
+
+
+@pytest.mark.parametrize("argv", TABLE_FALLBACKS)
+def test_table_leaves_argv_to_argparse(argv):
+    assert _table_args(argv[0], argv[1:], _build_parser()[1][argv[0]]) is None
+
+
+def test_table_takes_each_commands_full_argv():
+    # the shapes of the benchmark's calls, options in any order, and a
+    # repeated option, of which the last wins as in argparse
+    for argv in [
+        ["parse", "~(p & q)", "--atom-cap", "24", "--format", "pretty"],
+        ["check", "d.txt", "--sigma", "s.txt", "--default-bit", "1"],
+        ["prove", "--output", "o.proof", "d.txt", "--format", "pretty"],
+        ["add", "a.proof", "--sigma", "s.txt", "b.proof", "--output", "o.proof"],
+        ["smul", "e", "a.proof", "--sigma", "s.txt"],
+        ["axioms", "--sigma", "s.txt", "--atoms", "2", "--samples", "4", "--seed", "7"],
+        ["replace", "--target", "a", "--donor", "b", "--sigma-class", "p", "--sigma", "s"],
+        ["extract", "--target", "a", "--sigma-class", "p", "--single-path", "{x}"],
+        ["rules", "--atoms", "3", "--atoms", "1"],
+        ["eq", "", "b.proof"],
+    ]:
+        parser = _build_parser()[1][argv[0]]
+        args = _table_args(argv[0], argv[1:], parser)
+        assert args is not None, argv
+        assert args == parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    rules = _build_parser()[1]["rules"]
+    assert _table_args("rules", ["--atoms", "3", "--atoms", "1"], rules).atoms == 1
 
 
 DEEP_INPUTS = {
