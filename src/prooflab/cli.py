@@ -181,6 +181,7 @@ def _require_text_budget(r: ProofNode, pretty: bool) -> None:
 
 
 def _emit_proof(args, r: ProofNode, pretty: bool = False) -> None:
+    _require_text_budget(r, pretty)
     text = pretty_proof(r) + "\n" if pretty else proof_file_text(r)
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -303,9 +304,7 @@ def _dispatch(args) -> int:
     if args.command == "prove":
         d = _load_deduction(args)
         r = prove(d, args.atom_cap)
-        pretty = args.format == "pretty"
-        _require_text_budget(r, pretty)
-        _emit_proof(args, r, pretty)
+        _emit_proof(args, r, args.format == "pretty")
         return 0
 
     if args.command == "eq":

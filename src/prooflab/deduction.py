@@ -34,6 +34,7 @@ from .propclass import (
     big_and,
     big_or,
     class_and,
+    class_from_text,
     class_not,
     class_or,
     entails,
@@ -331,9 +332,22 @@ class RulesReport:
 
 def check_rule(rule: InferenceRule, atom_budget: int = 2) -> RuleCheck:
     """Semantic validity of one rule over every class instantiation on
-    ``atom_budget`` atoms: the premise conjunction must entail the conclusion."""
+    ``atom_budget`` atoms: the premise conjunction must entail the conclusion.
+
+    ``make`` must be built from class operations, so it commutes with
+    substitution: an instance is the schema on fresh atoms with classes
+    put for those atoms. The schema is decided once on fresh atoms. If
+    it holds, so does every instance, and the |pool|^arity instances are
+    counted, not built. If it fails, some row of the fresh atoms
+    falsifies it, and the constant classes, which are in every pool,
+    realize that row; only then is every instance checked, in pool
+    order."""
     if not 1 <= atom_budget <= 3:
         raise ValueError("atom budget must be between 1 and 3")
+    fresh = [class_from_text(f"[m{j};01]") for j in range(rule.arity)]
+    premises, conclusion = rule.make(*fresh)
+    if entails(big_and(premises), conclusion):
+        return RuleCheck(rule.name, (1 << (1 << atom_budget)) ** rule.arity, ())
     pool = all_classes(_RULE_ATOMS[:atom_budget])
     violations = []
     count = 0

@@ -165,18 +165,44 @@ def _bottom_up(
         yield node
 
 
-def fold(r: ProofNode, visit: Callable[[ProofNode, Callable[[ProofNode], Any]], Any]) -> Any:
+def fold(
+    r: ProofNode,
+    visit: Callable[[ProofNode, Callable[[ProofNode], Any]], Any],
+    known: Optional[Callable[[ProofNode], Any]] = None,
+) -> Any:
     """Evaluate ``visit(node, value)`` bottom-up over ``r``, where
     ``value(child)`` is the result already computed for a child.
 
-    Each distinct node is visited once per call, keyed on its identity."""
+    Each distinct node is visited once per call, keyed on its identity,
+    on a stack of its own, as in :func:`_bottom_up`. With ``known``, a
+    node for which ``known(node)`` is not None takes that result, and
+    the walk does not enter it."""
     memo: dict[int, Any] = {}
 
     def value(node: ProofNode) -> Any:
         return memo[id(node)]
 
-    for node in _bottom_up(r, lambda nodes: [n for n in nodes if id(n) not in memo]):
-        memo[id(node)] = visit(node, value)
+    if known is not None and (result := known(r)) is not None:
+        return result
+    stack = [(r, False)]
+    while stack:
+        node, ready = stack.pop()
+        key = id(node)
+        if ready:
+            memo[key] = visit(node, value)
+        elif key in memo:
+            continue
+        elif node.children is None:
+            memo[key] = visit(node, value)
+        else:
+            stack.append((node, True))
+            for c in node.children:
+                if id(c) in memo:
+                    continue
+                if known is not None and (result := known(c)) is not None:
+                    memo[id(c)] = result
+                else:
+                    stack.append((c, False))
     return memo[id(r)]
 
 
@@ -339,14 +365,25 @@ def parse_proof(text: str) -> ProofNode:
     """Inverse of :func:`canonical_serialize`; trees deeper than
     ``MAX_DEPTH`` levels raise :class:`ParseError`.
 
-    One left-to-right scan with an explicit stack of open nodes. Each
-    node is interned as it closes, so a subtree that the text repeats
-    is one object; the scan remembers the nodes it made, so a repeat
-    costs one dictionary lookup."""
+    One left-to-right scan with an explicit stack of open nodes; each
+    node is interned as it closes. A node whose input span is canonical
+    (a premise's always is, a justified node's when its children's are
+    and increase strictly) keeps it as its text. No node text is a
+    proper prefix of another, so once a justified node has closed
+    twice, its span is kept under its conclusion and first child, and a
+    later node with both whose text starts with that span is skipped to
+    its end. A skip counts only within ``MAX_DEPTH``, so every depth
+    error keeps its position. Without a justified tautology node, every
+    node is its own normal form and is marked so."""
     head = _NODE_HEAD.match
     leaves: dict[str, ProofNode] = {}  # class text -> premise node
     made: dict[tuple[PropClass, frozenset[ProofNode]], ProofNode] = {}
-    open_nodes: list[tuple[PropClass, list[ProofNode]]] = []
+    # (conclusion text, first child) -> (span, node, height, whether the
+    # span is canonical) of the last repeat closed
+    repeats: dict[tuple[str, ProofNode], tuple[str, ProofNode, int, bool]] = {}
+    # [start, conclusion text, conclusion, children, last child text
+    # while the span can be canonical else None, height]
+    open_nodes: list[list] = []
     i = 0
     while True:
         m = head(text, i)
@@ -355,15 +392,37 @@ def parse_proof(text: str) -> ProofNode:
         if len(open_nodes) > MAX_DEPTH:
             raise ParseError(f"nested deeper than {MAX_DEPTH} levels", i)
         conclusion_text, premise = m.groups()
-        i = m.end()
         if premise is None:
-            open_nodes.append((class_from_text(conclusion_text), []))
+            open_nodes.append([i, conclusion_text, class_from_text(conclusion_text), [], "", 1])
+            i = m.end()
             continue
+        i = m.end()
         node = leaves.get(conclusion_text)
         if node is None:
             node = leaves[conclusion_text] = ProofNode(class_from_text(conclusion_text))
+            if node._text is None:
+                _set_text(node, "{%s,{0}}" % conclusion_text)
+        height, canonical = 0, True
         while open_nodes:
-            open_nodes[-1][1].append(node)
+            top = open_nodes[-1]
+            kids = top[3]
+            kids.append(node)
+            if len(kids) == 1:
+                kept = repeats.get((top[1], node))
+                if kept is not None:
+                    span, seen, seen_height, seen_canonical = kept
+                    start = top[0]
+                    depth = len(open_nodes) - 1
+                    if depth + seen_height <= MAX_DEPTH and text.startswith(span, start):
+                        open_nodes.pop()
+                        node, height, canonical = seen, seen_height, seen_canonical
+                        i = start + len(span)
+                        continue
+            last = top[4]
+            if last is not None:
+                top[4] = node._text if canonical and last < node._text else None
+            if height >= top[5]:
+                top[5] = height + 1
             sep = text[i : i + 1]
             if sep == ",":
                 i += 1
@@ -373,14 +432,25 @@ def parse_proof(text: str) -> ProofNode:
             if text[i + 1 : i + 2] != "}":
                 raise ParseError("expected '}' closing the node", i + 1)
             i += 2
-            conclusion, kids = open_nodes.pop()
+            start, conclusion_text, conclusion, kids, last, height = open_nodes.pop()
+            canonical = last is not None
             key = (conclusion, frozenset(kids))
             node = made.get(key)
-            if node is None:
+            repeat = node is not None
+            if not repeat:
                 node = made[key] = ProofNode(*key)
+            if canonical and node._text is None:
+                _set_text(node, text[start:i])
+            if repeat:
+                span = node._text if canonical else text[start:i]
+                repeats[conclusion_text, kids[0]] = (span, node, height, canonical)
         else:
             if text[i:].strip():
                 raise ParseError("trailing data after proof", i)
+            if not any(is_tautology(key[0]) for key in made):
+                for n in [*made.values(), *leaves.values()]:
+                    if n._normal is None:
+                        _set_normal(n, _NORMAL)
             return node
 
 
@@ -471,15 +541,25 @@ def _pretty_measure(node: ProofNode, kids: list[tuple[int, int]]) -> tuple[int, 
     return 1 + sum(n for n, _ in kids), chars + sum(k + 2 * n for n, k in kids)
 
 
+def _held_length(node: ProofNode) -> Optional[int]:
+    """The length of the text a node already holds, else None."""
+    return None if node._text is None else len(node._text)
+
+
 def text_length(r: ProofNode, pretty: bool = False) -> int:
     """``len(canonical_serialize(r))``, or ``len(pretty_proof(r))`` with
     ``pretty``, without building either text.
 
     Each distinct node is measured once, from the measures of its
     children, so a built proof costs O(nodes + child links) however
-    long its text."""
+    long its text. A node that holds its canonical text, as a parsed
+    one does, measures as that text, and the walk stops there."""
     measure = _pretty_measure if pretty else _canonical_measure
-    total = fold(r, lambda node, value: measure(node, [value(c) for c in node.children or ()]))
+    total = fold(
+        r,
+        lambda node, value: measure(node, [value(c) for c in node.children or ()]),
+        None if pretty else _held_length,
+    )
     if pretty:
         lines, chars = total
         return chars + lines - 1

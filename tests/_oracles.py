@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 from prooflab import And, Atom, Deduction, Not, Or, ParseError, ProofNode, PropClass, SigmaPrime
 from prooflab.formula import MAX_DEPTH, fold
@@ -236,6 +236,24 @@ def random_proof(
     return normalize(ProofNode(conclusion, kids))
 
 
+def check_rule_oracle(rule, atom_budget: int = 2) -> tuple[str, int, tuple[str, ...]]:
+    """(name, instances, violations) of a rule, from a check of every
+    instance over the classes on ``atom_budget`` atoms, in pool order."""
+    from prooflab import all_classes, big_and, entails
+
+    pool = all_classes(("p", "q", "r")[:atom_budget])
+    violations = []
+    count = 0
+    for combo in product(pool, repeat=rule.arity):
+        count += 1
+        premises, conclusion = rule.make(*combo)
+        if not entails(big_and(premises), conclusion):
+            violations.append(
+                "%s with (%s)" % (rule.name, ", ".join(c.text() for c in combo))
+            )
+    return rule.name, count, tuple(violations)
+
+
 def ring_audit_oracle(sp: SigmaPrime, elements, add_op=None, mul_op=None):
     """The ring-law audit as a direct check of every pair and triple,
     calling the operations afresh for every instance: the reference
@@ -409,6 +427,15 @@ def _parse_node_oracle(text: str, i: int, depth: int) -> tuple[ProofNode, int]:
     if text[i : i + 1] != "}":
         raise ParseError("expected '}' closing the node", i)
     return node, i + 1
+
+
+def serialize_oracle(r: ProofNode) -> str:
+    """The canonical text of ``r``, written recursively from its
+    definition: every child set sorted by the children's texts."""
+    if r.children is None:
+        return "{%s,{0}}" % r.conclusion.text()
+    kids = sorted(serialize_oracle(c) for c in r.children)
+    return "{%s,{%s}}" % (r.conclusion.text(), ",".join(kids))
 
 
 def scrambled_text(rng: random.Random, r: ProofNode) -> str:

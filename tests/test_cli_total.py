@@ -8,8 +8,7 @@ flag values in range. The other half are hostile: texts with characters
 deleted, replaced or inserted, random Unicode, non-UTF-8 files,
 directories, missing paths, bad flag values and missing required flags.
 Deductions have at most 12 steps and ``--samples`` is at most 50.
-``axioms`` runs over one to three atoms; ``rules --atoms 3`` is left
-out, since ``check_rule`` takes seconds per binary rule over three atoms.
+``axioms`` and ``rules`` run over one to three atoms.
 """
 
 import random
@@ -32,7 +31,7 @@ CLASS_TEXTS = ("[;1]", "[;0]", "[p;01]", "[p;10]", "[p,q;0111]", "[q,r;0001]", "
 # flag values: (in range, out of range)
 ATOM_CAPS = (("2", "8", "16", "24"), ("25", "-1", "x", ""))
 DEFAULT_BITS = (("0", "1"), ("2", "-1", "x"))
-RULE_ATOMS = (("1", "2"), ("0", "4", "-1", "x"))
+RULE_ATOMS = (("1", "2", "3"), ("0", "4", "-1", "x"))
 AXIOM_ATOMS = (("1", "2", "3"), ("0", "4", "-1", "x"))
 SAMPLES = (("0", "7", "50"), ("-1", "x"))
 SEEDS = (("0", "3", "-2"), ("x",))

@@ -7,7 +7,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import prooflab
 from prooflab import (
@@ -20,7 +20,9 @@ from prooflab import (
     check_rule,
     classical_rules_report,
     class_and,
+    class_iff,
     class_not,
+    class_or,
     gamma,
     induce_interpretation,
     lindenbaum_extend,
@@ -32,6 +34,7 @@ from prooflab import (
 from prooflab.deduction import CLASSICAL_RULES, InferenceRule
 
 from _oracles import (
+    check_rule_oracle,
     deduction_valid_oracle,
     first_subset_oracle,
     member_oracle,
@@ -343,6 +346,74 @@ def test_injected_wrong_rule_detected():
     result = check_rule(wrong, atom_budget=2)
     assert not result.valid
     assert result.violations
+    assert result.violations == check_rule_oracle(wrong, 2)[2]
+
+
+_SCHEMA_OPS = {"and": class_and, "or": class_or, "iff": class_iff}
+
+
+def _schema_terms(arity):
+    """Terms over metavariables 0..arity-1: an index, or a tuple naming
+    a class operation and its operand terms."""
+    return st.recursive(
+        st.integers(0, arity - 1),
+        lambda sub: st.one_of(
+            st.tuples(st.just("not"), sub),
+            st.tuples(st.sampled_from(sorted(_SCHEMA_OPS)), sub, sub),
+        ),
+        max_leaves=5,
+    )
+
+
+def _apply(term, xs):
+    if isinstance(term, int):
+        return xs[term]
+    if term[0] == "not":
+        return class_not(_apply(term[1], xs))
+    return _SCHEMA_OPS[term[0]](_apply(term[1], xs), _apply(term[2], xs))
+
+
+@st.composite
+def _schemas(draw):
+    """(arity, premise terms, conclusion term); about half are valid by
+    construction, since a premise entails its disjunction with anything."""
+    arity = draw(st.integers(1, 2))
+    terms = _schema_terms(arity)
+    premises = tuple(draw(st.lists(terms, min_size=1, max_size=3)))
+    conclusion = draw(terms)
+    if draw(st.booleans()):
+        conclusion = ("or", draw(st.sampled_from(premises)), conclusion)
+    return arity, premises, conclusion
+
+
+def _schema_rule(schema):
+    arity, premises, conclusion = schema
+    return InferenceRule(
+        "schema",
+        arity,
+        lambda *xs: (tuple(_apply(t, xs) for t in premises), _apply(conclusion, xs)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_schemas(), st.integers(1, 2))
+@example((2, (0, ("or", ("not", 0), 1)), 1), 3)  # modus ponens
+@example((2, (0,), ("and", 0, 1)), 3)  # the injected rule
+@example((1, (("iff", 0, 0),), ("not", 0)), 3)
+def test_rules_decided_on_the_schema_match_every_instance(schema, atoms):
+    result = check_rule(_schema_rule(schema), atom_budget=atoms)
+    assert (result.name, result.instances, result.violations) == check_rule_oracle(
+        _schema_rule(schema), atoms
+    )
+
+
+def test_classical_rules_match_every_instance():
+    for rule in CLASSICAL_RULES:
+        for atoms in (1, 2):
+            result = check_rule(rule, atom_budget=atoms)
+            assert (result.name, result.instances, result.violations) == check_rule_oracle(
+                rule, atoms
+            )
 
 
 def test_rule_budget_guard():

@@ -23,10 +23,12 @@ from prooflab import (
     lindenbaum_extend,
     parse,
     proof_eq,
+    replace_subproof,
 )
 from prooflab import cli
 from prooflab.cli import _build_parser, _table_args, main, run
 from prooflab.files import (
+    proof_file_length,
     proof_file_text,
     read_deduction_file,
     read_proof_file,
@@ -618,6 +620,76 @@ def test_cli_prove_budget_admits_21_steps_of_the_chain(capsys, tmp_path):
             )
 
 
+def _no_proof_text(monkeypatch):
+    def no_text(*args, **kwargs):
+        raise AssertionError("proof text built over the budget")
+
+    for name in ("prooflab.files.canonical_serialize", "prooflab.cli.pretty_proof"):
+        monkeypatch.setattr(name, no_text)
+
+
+def test_cli_add_checks_the_text_budget(capsys, monkeypatch, tmp_path):
+    # the sum of the 21-step chain p, p | q and the 20-step chain p, p | r
+    # justifies p <-> p by both child sets, 22,020,071 characters
+    (tmp_path / "base.txt").write_text("p\n")
+    chains = {"chain21": "p | q\n" * 20, "chain20": "p | q\n" * 19, "chainr20": "p | r\n" * 19}
+    for name, steps in chains.items():
+        (tmp_path / f"{name}.txt").write_text("premises: base.txt\np\n" + steps)
+        proof = str(tmp_path / f"{name}.proof")
+        assert run_cli(capsys, "prove", str(tmp_path / f"{name}.txt"), "--output", proof)[0] == 0
+
+    def add(a, b):
+        proofs = [str(tmp_path / f"{name}.proof") for name in (a, b)]
+        return run_cli(capsys, "add", *proofs, "--sigma", str(tmp_path / "base.txt"))
+
+    code, out, _ = add("chain20", "chainr20")
+    assert (code, len(out)) == (0, 14_680_039)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ee44933c235d2e344a695561889d6ea98bb15eeffbe6da63e7742378a9fab3ea"
+    )
+    _no_proof_text(monkeypatch)
+    code, out, err = add("chain21", "chainr20")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (
+        "error: ResourceLimit: canonical proof text of 22020071 characters "
+        "exceeds the budget of 16777216"
+    )
+
+
+def test_cli_replace_checks_the_text_budget(capsys, monkeypatch, tmp_path):
+    # a 2 KB target whose 60 children each hold the premise x0 | y, and a
+    # donor justifying x0 | y by 12,000 four-atom premises: the graft
+    # writes the donor's set 60 times
+    sp = lindenbaum_extend(frozenset({cls("x0")}), 0)
+    premise = ProofNode(cls("x0 | y"))
+    target = ProofNode(
+        cls("x0"),
+        frozenset(ProofNode(cls(f"x0 | z{i}"), frozenset({premise})) for i in range(60)),
+    )
+    kids = [
+        ProofNode(cls(f"x0 | a{i} & b{j} & c{k}"))
+        for i in range(23) for j in range(23) for k in range(23)
+    ][:12_000]
+    donor = ProofNode(cls("x0 | y"), frozenset(kids))
+    paths = {"t": str(tmp_path / "t.proof"), "d": str(tmp_path / "d.proof")}
+    write_proof_file(paths["t"], target)
+    write_proof_file(paths["d"], donor)
+    (tmp_path / "s.txt").write_text("x0\n")
+    length = proof_file_length(replace_subproof(target, cls("x0 | y"), donor, sp))
+    assert length > 16_777_216
+    _no_proof_text(monkeypatch)
+    output = tmp_path / "out.proof"
+    code, out, err = run_cli(
+        capsys, "replace", "--target", paths["t"], "--donor", paths["d"],
+        "--sigma-class", "x0 | y", "--sigma", str(tmp_path / "s.txt"), "--output", str(output),
+    )
+    assert (code, out, output.exists()) == (1, "", False)
+    assert err.splitlines()[-1] == (
+        f"error: ResourceLimit: canonical proof text of {length} characters "
+        "exceeds the budget of 16777216"
+    )
+
+
 def test_cli_prove_long_deduction_with_a_short_proof(capsys, tmp_path):
     # the last step is a member but not reached, so every step is a
     # premise and the proof is one node, however many steps precede it
@@ -863,8 +935,7 @@ def test_cli_help_and_usage_bytes_repeat(capsys, monkeypatch):
 
 
 # argv pieces: command names and near misses, full and abbreviated
-# options, and values in and out of range ("3" is left out, since
-# "rules --atoms 3" takes seconds)
+# options, and values in and out of range
 DISPATCH_HEADS = [
     "parse", "check", "interpret", "prove", "eq", "add", "smul", "axioms",
     "replace", "extract", "eliminate", "rules",
@@ -876,7 +947,7 @@ DISPATCH_OPTIONS = [
     "--sigma-class", "--single-path", "-h", "--help", "--he", "--nope", "-x",
 ]
 DISPATCH_VALUES = [
-    "p", "p & q", "~", "nosuch.txt", "0", "1", "2", "24", "25", "-1", "x", "",
+    "p", "p & q", "~", "nosuch.txt", "0", "1", "2", "3", "24", "25", "-1", "x", "",
     "canonical", "pretty", "dnf", "e",
 ]
 

@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prooflab import (
     Deduction,
@@ -63,6 +63,7 @@ from _oracles import (
     require_members_oracle,
     rewrite_oracle,
     scrambled_text,
+    serialize_oracle,
 )
 
 
@@ -395,6 +396,213 @@ def test_parse_proof_matches_the_recursive_parser_on_damaged_texts(seed):
         for _ in range(5):
             bad = _mutated(rng, text)
             assert _parse_outcome(parse_proof, bad) == _parse_outcome(parse_proof_oracle, bad)
+
+
+# --- the reader on texts that repeat subtrees --------------------------------
+
+_READER_CLASSES = ("p", "q", "p | q", "p & q", "~q", "p | ~q", "q | r", "q | ~q")
+_TREE_CAP = 300  # nodes of a drawn proof, written out as a tree
+
+
+def _tree_size(node, sizes):
+    if node not in sizes:
+        sizes[node] = 1 + sum(_tree_size(c, sizes) for c in node.children or ())
+    return sizes[node]
+
+
+def _capped(kids, sizes):
+    """The longest prefix of ``kids`` whose trees fit the cap together."""
+    kept, total = [], 1
+    for kid in kids:
+        total += _tree_size(kid, sizes)
+        if total > _TREE_CAP:
+            break
+        kept.append(kid)
+    return kept
+
+
+@st.composite
+def shared_proofs(draw):
+    """A proof whose nodes are drawn one by one, each a premise or
+    justified by nodes drawn before it, so its subtrees repeat; the
+    root is justified by some of them."""
+    classes = st.sampled_from(_READER_CLASSES).map(cls)
+    nodes, sizes = [], {}
+    for _ in range(draw(st.integers(1, 10))):
+        drawn = draw(st.lists(st.sampled_from(tuple(nodes)), max_size=3)) if nodes else []
+        kids = _capped(drawn, sizes)
+        nodes.append(ProofNode(draw(classes), frozenset(kids) or None))
+    kids = _capped(draw(st.lists(st.sampled_from(tuple(nodes)), min_size=1, max_size=3)), sizes)
+    return ProofNode(draw(classes), frozenset(kids or nodes[:1]))
+
+
+def _chain_above(node, n):
+    for _ in range(n):
+        node = ProofNode(cls("p"), frozenset({node}))
+    return node
+
+
+def _repeated_near_the_limit(sub, n):
+    """``sub`` inside a p & q node, then as a child of the root, then
+    under ``n`` wrappers."""
+    twice = {ProofNode(cls("p & q"), frozenset({sub})), sub}
+    return ProofNode(cls("q | r"), frozenset({*twice, _chain_above(sub, n)}))
+
+
+# a two-premise subtree; under 98 wrappers its premises sit at depth
+# MAX_DEPTH
+_PAIR = ProofNode(cls("p | q"), frozenset({ProofNode(cls("p")), ProofNode(cls("q"))}))
+_SHALLOW_THEN_DEEP = _repeated_near_the_limit(_PAIR, MAX_DEPTH - 2)
+# a height-2 subtree whose first child is a premise, so its deepest
+# node comes after the child the reader reads before it may skip
+_LATE_DEEP = ProofNode(
+    cls("p | q"),
+    frozenset({ProofNode(cls("p & q")), ProofNode(cls("p"), frozenset({ProofNode(cls("q"))}))}),
+)
+# the pair written three times, the first time out of order in the
+# first-only reversed text
+_THRICE = ProofNode(
+    cls("q | r"),
+    frozenset({_PAIR, *(ProofNode(cls(c), frozenset({_PAIR})) for c in ("p & q", "~q"))}),
+)
+
+
+def _reversed_text(r, first_only=False):
+    """The canonical text of ``r`` with every child set in reverse
+    order, or with only the first occurrence of each node's set so."""
+    seen = set()
+
+    def write(node):
+        if node.children is None:
+            return serialize_oracle(node)
+        kids = sorted(node.children, key=serialize_oracle)
+        if node not in seen:
+            kids.reverse()
+            if first_only:
+                seen.add(node)
+        return "{%s,{%s}}" % (node.conclusion.text(), ",".join(map(write, kids)))
+
+    return write(r)
+
+
+def _scrambled(rng, r):
+    """``r`` with every child set in random order and some children
+    repeated, writing at most ``_TREE_CAP`` nodes more than its tree;
+    ``scrambled_text`` may repeat a child at every level of a chain."""
+    sizes, spare = {}, [_TREE_CAP]
+
+    def write(node):
+        if node.children is None:
+            return serialize_oracle(node)
+        kids = list(node.children)
+        for _ in range(rng.randint(0, 2)):
+            kid = rng.choice(kids)
+            if _tree_size(kid, sizes) <= spare[0]:
+                spare[0] -= _tree_size(kid, sizes)
+                kids.append(kid)
+        rng.shuffle(kids)
+        return "{%s,{%s}}" % (node.conclusion.text(), ",".join(map(write, kids)))
+
+    return write(r)
+
+
+def _reader_texts(rng, r):
+    """``r`` written in reverse order, with the first occurrence of each
+    node out of order, scrambled, and canonically, the last last, so
+    the others meet nodes that hold no text yet."""
+    return [_reversed_text(r), _reversed_text(r, True), _scrambled(rng, r), serialize_oracle(r)]
+
+
+def _nodes(r):
+    nodes = []
+    fold(r, lambda node, value: nodes.append(node))
+    return nodes
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_proofs(), st.integers(0, 2**32 - 1))
+@example(_SHALLOW_THEN_DEEP, 0)
+@example(_THRICE, 0)
+def test_reader_matches_the_recursive_parser_on_shared_subtrees(r, seed):
+    rng = random.Random(seed)
+    for text in _reader_texts(rng, r):
+        assert parse_proof(text) is parse_proof_oracle(text) is r
+        # the reader marks the nodes of a text in normal form as normal
+        assert normalize(parse_proof(text)) is normalize_oracle(r)
+        cuts = sorted(rng.sample(range(len(text) + 1), k=min(4, len(text) + 1)))
+        lines = [text[a:b] for a, b in zip([0] + cuts, cuts + [len(text)])]
+        assert read_proof_text("format: 1\n" + "\n".join(lines)) is r
+        # every text a node holds, whether the reader set it or not, is
+        # the recursive serializer's
+        for node in _nodes(r):
+            assert node._text is None or node._text == serialize_oracle(node)
+    # a canonical text gives every node its text
+    parse_proof(serialize_oracle(r))
+    assert all(node._text is not None for node in _nodes(r))
+
+
+def _repeat_spans(text):
+    """(start, end) of the second and later occurrences, in text order,
+    of each justified node of the valid proof text ``text``."""
+    opens, by_node = [], {}
+    for i, ch in enumerate(text):
+        if ch == "{":
+            opens.append(i)
+        elif ch == "}":
+            a = opens.pop()
+            if text.startswith("{[", a) and not text.endswith(",{0}}", a, i + 1):
+                node = parse_proof_oracle(text[a : i + 1])
+                by_node.setdefault(node, []).append((a, i + 1))
+    return sorted(span for spans in by_node.values() for span in spans[1:])
+
+
+def _damaged_within(rng, text, a, b):
+    """``text`` with one character deleted, inserted or replaced at a
+    position in ``[a, b)``."""
+    i = rng.randrange(a, b)
+    c = rng.choice(_MUTATION_CHARS)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:i] + text[i + 1 :]
+    if kind == 1:
+        return text[:i] + c + text[i:]
+    return text[:i] + c + text[i + 1 :]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_proofs(), st.integers(0, 2**32 - 1))
+@example(_SHALLOW_THEN_DEEP, 0)
+@example(_THRICE, 0)
+@example(_repeated_near_the_limit(_LATE_DEEP, MAX_DEPTH - 3), 0)
+def test_reader_matches_the_recursive_parser_on_damaged_repeats(r, seed):
+    # damage inside a later occurrence of a repeated subtree, where the
+    # reader tries the spans it kept, and anywhere else
+    rng = random.Random(seed)
+    for text in _reader_texts(rng, r):
+        later = _repeat_spans(text)
+        for _ in range(6):
+            if later and rng.random() < 0.75:
+                bad = _damaged_within(rng, text, *rng.choice(later))
+            else:
+                bad = _mutated(rng, text)
+            assert _parse_outcome(parse_proof, bad) == _parse_outcome(parse_proof_oracle, bad)
+
+
+def test_reader_skips_a_repeat_only_within_the_depth_limit():
+    # a subtree of height h closes twice near the root, then sits under
+    # n wrappers, which puts its deepest premise at depth n + 1 + h
+    subtrees = [(_PAIR, 1), (ProofNode(cls("p & q"), frozenset({_PAIR})), 2), (_LATE_DEEP, 2)]
+    for sub, height in subtrees:
+        for n in (MAX_DEPTH - 1 - height, MAX_DEPTH - height):
+            text = serialize_oracle(_repeated_near_the_limit(sub, n))
+            chain = serialize_oracle(_chain_above(sub, n))
+            assert text.index(serialize_oracle(sub)) < text.index(chain)
+            assert _parse_outcome(parse_proof, text) == _parse_outcome(parse_proof_oracle, text)
+            if n + 1 + height <= MAX_DEPTH:
+                assert parse_proof(text)._text == text
+            else:
+                with pytest.raises(ParseError, match="nested deeper"):
+                    parse_proof(text)
 
 
 def test_equal_nodes_are_one_object():
