@@ -344,9 +344,8 @@ def _dispatch(args) -> int:
         return _surgery(args)
 
     if args.command == "rules":
-        report = classical_rules_report(args.atoms)
-        for line in report.lines():
-            print(line)
+        for law in classical_rules_report(args.atoms).laws:
+            print(law.verdict())
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -39,7 +39,7 @@ from .propclass import (
     class_or,
     entails,
 )
-from .sigma import SigmaPrime
+from .sigma import LawCheck, LawReport, SigmaPrime
 
 DEFAULT_MAX_PRIOR = 20
 
@@ -304,33 +304,7 @@ CLASSICAL_RULES: tuple[InferenceRule, ...] = (
 _RULE_ATOMS = ("p", "q", "r")
 
 
-@record
-class RuleCheck:
-    name: str
-    instances: int
-    violations: tuple[str, ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
-@record
-class RulesReport:
-    rules: tuple[RuleCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.valid for r in self.rules)
-
-    def lines(self) -> list[str]:
-        return [
-            f"{r.name}: {'valid' if r.valid else 'INVALID'} (checked {r.instances})"
-            for r in self.rules
-        ]
-
-
-def check_rule(rule: InferenceRule, atom_budget: int = 2) -> RuleCheck:
+def check_rule(rule: InferenceRule, atom_budget: int = 2) -> LawCheck:
     """Semantic validity of one rule over every class instantiation on
     ``atom_budget`` atoms: the premise conjunction must entail the conclusion.
 
@@ -347,20 +321,16 @@ def check_rule(rule: InferenceRule, atom_budget: int = 2) -> RuleCheck:
     fresh = [class_from_text(f"[m{j};01]") for j in range(rule.arity)]
     premises, conclusion = rule.make(*fresh)
     if entails(big_and(premises), conclusion):
-        return RuleCheck(rule.name, (1 << (1 << atom_budget)) ** rule.arity, ())
+        return LawCheck(rule.name, (1 << (1 << atom_budget)) ** rule.arity, ())
     pool = all_classes(_RULE_ATOMS[:atom_budget])
-    violations = []
-    count = 0
+    failures = []
     for combo in product(pool, repeat=rule.arity):
-        count += 1
         premises, conclusion = rule.make(*combo)
         if not entails(big_and(premises), conclusion):
-            violations.append(
-                "%s with (%s)" % (rule.name, ", ".join(c.text() for c in combo))
-            )
-    return RuleCheck(rule.name, count, tuple(violations))
+            failures.append("%s with (%s)" % (rule.name, ", ".join(c.text() for c in combo)))
+    return LawCheck(rule.name, len(pool) ** rule.arity, tuple(failures))
 
 
-def classical_rules_report(atom_budget: int = 2) -> RulesReport:
+def classical_rules_report(atom_budget: int = 2) -> LawReport:
     """Audit all ten rules of the standard system at class level."""
-    return RulesReport(tuple(check_rule(r, atom_budget) for r in CLASSICAL_RULES))
+    return LawReport(tuple(check_rule(r, atom_budget) for r in CLASSICAL_RULES), 24, 5)

@@ -21,7 +21,6 @@ from bisect import bisect_right
 from itertools import accumulate, product
 from typing import Iterable, Iterator, Sequence
 
-from ._record import record
 from .errors import InternalError
 from .propclass import (
     DEFAULT_ATOM_CAP,
@@ -35,7 +34,7 @@ from .propclass import (
     is_tautology,
 )
 from .proof import Justification, ProofNode, digest_hex, normalize, proof_eq
-from .sigma import FORMAL_ONE, ClassScalar, FormalOne, Scalar, SigmaPrime
+from .sigma import FORMAL_ONE, ClassScalar, FormalOne, LawCheck, LawReport, Scalar, SigmaPrime
 
 
 def delta_merge(
@@ -112,49 +111,6 @@ def embed_premise(sp: SigmaPrime, c: PropClass) -> ProofNode:
 # --- axiom audit -----------------------------------------------------------
 
 
-@record
-class ModuleLawCheck:
-    name: str
-    checked: int
-    failures: tuple[str, ...]
-    diagnostic: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-@record
-class ModuleAxiomReport:
-    laws: tuple[ModuleLawCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        """All guaranteed laws hold; diagnostics may carry counterexamples."""
-        return all(law.ok for law in self.laws if not law.diagnostic)
-
-    def law(self, name: str) -> ModuleLawCheck:
-        for law in self.laws:
-            if law.name == name:
-                return law
-        raise KeyError(name)
-
-    def render(self) -> str:
-        lines = ["law                               checked  failed  kind"]
-        for law in self.laws:
-            kind = "diagnostic" if law.diagnostic else "guaranteed"
-            lines.append(
-                f"{law.name:<33} {law.checked:>7}  {len(law.failures):>6}  {kind}"
-            )
-        extra = [
-            f"  {law.name}: {f}" for law in self.laws for f in law.failures[:10]
-        ]
-        if extra:
-            lines.append("counterexamples:")
-            lines.extend(extra)
-        return "\n".join(lines)
-
-
 def _tag(*nodes: ProofNode) -> str:
     return " ".join(digest_hex(n)[:12] for n in nodes)
 
@@ -229,13 +185,15 @@ def check_module_axioms(
     samples: int = 500,
     seed: int = 0,
     exhaustive: bool = False,
-) -> ModuleAxiomReport:
+) -> LawReport:
     """Audit the group and scalar laws over the given pools.
 
     With ``exhaustive`` the full cartesian instance spaces are checked
     (keep the pools small); otherwise ``samples`` seeded random
     instances per law. Sum associativity and general scalar
     distributivity are diagnostics: failures are reported, not asserted.
+    An empty proof pool or a negative ``samples`` raises
+    :class:`ValueError`.
 
     The restricted distributivity law runs on the proof-matching domain:
     operands with equal justifications, or a premise operand provided the
@@ -252,6 +210,8 @@ def check_module_axioms(
         sp.require_member(s.payload)
     if not pool:
         raise ValueError("need at least one proof")
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     rng = random.Random(seed)
     neutral = neutral_proof(sp)
 
@@ -271,7 +231,7 @@ def check_module_axioms(
             for case in cases
             if not predicate(*case)
         )
-        laws.append(ModuleLawCheck(name, len(cases), failures, diagnostic))
+        laws.append(LawCheck(name, len(cases), failures, diagnostic))
 
     run(
         "sum-commutative",
@@ -334,4 +294,4 @@ def check_module_axioms(
             add(scalar_mul(s, r, sp), scalar_mul(t, r, sp), sp),
         ),
     )
-    return ModuleAxiomReport(tuple(laws))
+    return LawReport(tuple(laws), 33, 10)

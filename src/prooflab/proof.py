@@ -26,8 +26,8 @@ from __future__ import annotations
 import hashlib
 import re
 import weakref
-from operator import is_
-from typing import Any, Callable, Iterable, Iterator, NoReturn, Optional
+from operator import attrgetter, is_
+from typing import Any, Callable, NoReturn, Optional
 
 from ._record import FrozenInstanceError
 from .errors import InvalidInterpretation, ParseError
@@ -140,31 +140,6 @@ def _forget(entry: _Entry) -> None:
 Justification = Optional[frozenset[ProofNode]]
 
 
-def _bottom_up(
-    r: ProofNode, pending: Callable[[Iterable[ProofNode]], list[ProofNode]]
-) -> Iterator[ProofNode]:
-    """Each distinct node of ``r`` not yet done, after its children;
-    ``pending(nodes)`` lists those of ``nodes`` not yet done, and the
-    caller makes a node done before taking the next.
-
-    A reading justifies each step by every step before it, so a built
-    proof shares its subtrees: the walk never enters a done node. It
-    keeps its own stack, since a built proof is as deep as its
-    deduction is long."""
-    stack = [r]
-    while stack:
-        node = stack[-1]
-        if not pending((node,)):
-            stack.pop()
-            continue
-        todo = pending(node.children or ())
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        yield node
-
-
 def fold(
     r: ProofNode,
     visit: Callable[[ProofNode, Callable[[ProofNode], Any]], Any],
@@ -174,16 +149,18 @@ def fold(
     ``value(child)`` is the result already computed for a child.
 
     Each distinct node is visited once per call, keyed on its identity,
-    on a stack of its own, as in :func:`_bottom_up`. With ``known``, a
-    node for which ``known(node)`` is not None takes that result, and
-    the walk does not enter it."""
+    on a stack of its own: a reading justifies each step by every step
+    before it, so a built proof shares its subtrees and is as deep as
+    its deduction is long. With ``known``, a node for which
+    ``known(node)`` is not None takes that result, and the walk does not
+    enter it."""
+    if known is not None and (result := known(r)) is not None:
+        return result
     memo: dict[int, Any] = {}
 
     def value(node: ProofNode) -> Any:
         return memo[id(node)]
 
-    if known is not None and (result := known(r)) is not None:
-        return result
     stack = [(r, False)]
     while stack:
         node, ready = stack.pop()
@@ -209,14 +186,20 @@ def fold(
 def canonical_serialize(r: ProofNode) -> str:
     """Order- and duplicate-insensitive text form of the tree; built
     once per distinct node and kept on it."""
-    if r._text is None:
-        for node in _bottom_up(r, lambda nodes: [n for n in nodes if n._text is None]):
-            if node.children is None:
-                just = "{0}"
-            else:
-                just = "{%s}" % ",".join(sorted(c._text for c in node.children))
-            _set_text(node, "{%s,%s}" % (node.conclusion.text(), just))
-    return r._text
+    return fold(r, _serialize, _text_of)
+
+
+_text_of = attrgetter("_text")
+
+
+def _serialize(node: ProofNode, value: Callable[[ProofNode], str]) -> str:
+    if node.children is None:
+        just = "{0}"
+    else:
+        just = "{%s}" % ",".join(sorted(map(value, node.children)))
+    text = "{%s,%s}" % (node.conclusion.text(), just)
+    _set_text(node, text)
+    return text
 
 
 def digest(r: ProofNode) -> ProofDigest:
@@ -262,7 +245,8 @@ def rejustify(r: ProofNode, hit: Callable[[PropClass], bool], children: Justific
     return fold(r, visit)
 
 
-def _normal_of(node: ProofNode) -> ProofNode:
+def _normal_of(node: ProofNode) -> Optional[ProofNode]:
+    """The normal form kept on ``node``; None before it is computed."""
     normal = node._normal
     return node if normal is _NORMAL else normal
 
@@ -271,16 +255,18 @@ def normalize(r: ProofNode) -> ProofNode:
     """Rewrite every tautology-concluded node to premise form; idempotent.
 
     The normal form is computed once per distinct node and kept on it."""
-    if r._normal is None:
-        for node in _bottom_up(r, lambda nodes: [n for n in nodes if n._normal is None]):
-            if is_tautology(node.conclusion):
-                normal = ProofNode(node.conclusion)
-            else:
-                normal = _with_children(node, _normal_of)
-            _set_normal(normal, _NORMAL)
-            if normal is not node:
-                _set_normal(node, normal)
-    return _normal_of(r)
+    return fold(r, _normalize, _normal_of)
+
+
+def _normalize(node: ProofNode, value: Callable[[ProofNode], ProofNode]) -> ProofNode:
+    if is_tautology(node.conclusion):
+        normal = ProofNode(node.conclusion)
+    else:
+        normal = _with_children(node, value)
+    _set_normal(normal, _NORMAL)
+    if normal is not node:
+        _set_normal(node, normal)
+    return normal
 
 
 def sorted_children(r: ProofNode) -> list[ProofNode]:

@@ -134,35 +134,57 @@ def ring_mul(sp: SigmaPrime, a: PropClass, b: PropClass) -> PropClass:
 
 @record
 class LawCheck:
+    """One law of an audit: how many instances were checked, the text of
+    each that failed, and whether the law is a diagnostic, reported but
+    not asserted."""
+
     name: str
     checked: int
-    violations: tuple[str, ...]
+    failures: tuple[str, ...]
+    diagnostic: bool = False
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.failures
+
+    def verdict(self) -> str:
+        return f"{self.name}: {'valid' if self.ok else 'INVALID'} (checked {self.checked})"
 
 
 @record
-class RingAxiomReport:
+class LawReport:
+    """The laws of one audit; ``width`` is the name column's width and
+    ``shown`` the number of failures listed per law."""
+
     laws: tuple[LawCheck, ...]
+    width: int
+    shown: int
 
     @property
     def ok(self) -> bool:
-        return all(law.ok for law in self.laws)
+        """All asserted laws hold; diagnostics may carry counterexamples."""
+        return all(law.ok for law in self.laws if not law.diagnostic)
 
-    @property
-    def violation_count(self) -> int:
-        return sum(len(law.violations) for law in self.laws)
+    def law(self, name: str) -> LawCheck:
+        for law in self.laws:
+            if law.name == name:
+                return law
+        raise KeyError(name)
 
     def render(self) -> str:
-        lines = ["law                      checked  failed"]
+        """One row per law, then its first failures; a report with a
+        diagnostic law adds a kind column and heads the failures."""
+        kinds = any(law.diagnostic for law in self.laws)
+        lines = [f"{'law':<{self.width}} checked  failed" + ("  kind" if kinds else "")]
         for law in self.laws:
-            lines.append(f"{law.name:<24} {law.checked:>7}  {len(law.violations):>6}")
-        for law in self.laws:
-            for v in law.violations[:5]:
-                lines.append(f"  {law.name}: {v}")
-        return "\n".join(lines)
+            row = f"{law.name:<{self.width}} {law.checked:>7}  {len(law.failures):>6}"
+            if kinds:
+                row += "  diagnostic" if law.diagnostic else "  guaranteed"
+            lines.append(row)
+        extra = [f"  {law.name}: {f}" for law in self.laws for f in law.failures[: self.shown]]
+        if kinds and extra:
+            lines.append("counterexamples:")
+        return "\n".join(lines + extra)
 
 
 _BinOp = Callable[[PropClass, PropClass], PropClass]
@@ -219,7 +241,7 @@ def check_ring_axioms(
     elements: Iterable[PropClass],
     add_op: _BinOp | None = None,
     mul_op: _BinOp | None = None,
-) -> RingAxiomReport:
+) -> LawReport:
     """Audit the commutative-ring laws over a finite member set.
 
     ``add_op``/``mul_op`` default to :func:`ring_add`/:func:`ring_mul`,
@@ -299,7 +321,7 @@ def check_ring_axioms(
         (f"{t[a]} * {t[a]} != {t[a]}" for a in span if mul[a][a] != a),
     )
     law("mul-distributes-over-add", n**3, _distributivity_failures(add, mul, t))
-    return RingAxiomReport(tuple(laws))
+    return LawReport(tuple(laws), 24, 5)
 
 
 def _associativity_failures(op: _Table, t: list[str], sym: str) -> list[str]:

@@ -138,7 +138,7 @@ def test_criterion_03_classical_rules():
     report(
         3,
         "classical rule table",
-        table.ok and not injected.valid,
+        table.ok and not injected.ok,
         "10 rules valid, injected rule detected",
     )
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import prooflab
+from prooflab import cli, deduction
 from prooflab import (
     Deduction,
     Interpretation,
@@ -323,8 +324,8 @@ def test_check_and_reading_match_subset_oracles(rng, n_atoms, inserted):
 def test_classical_rules_all_valid():
     report = classical_rules_report(atom_budget=2)
     assert report.ok
-    assert len(report.rules) == 10
-    assert {r.name for r in report.rules} == {
+    assert len(report.laws) == 10
+    assert {r.name for r in report.laws} == {
         "modus-ponens",
         "and-elim-left",
         "and-elim-right",
@@ -336,17 +337,29 @@ def test_classical_rules_all_valid():
         "double-neg-intro",
         "double-neg-elim",
     }
-    for r in report.rules:
+    for r in report.laws:
         rule = next(x for x in CLASSICAL_RULES if x.name == r.name)
-        assert r.instances == 16 ** rule.arity
+        assert r.checked == 16 ** rule.arity
 
 
 def test_injected_wrong_rule_detected():
     wrong = InferenceRule("broken", 2, lambda a, b: ((a,), class_and(a, b)))
     result = check_rule(wrong, atom_budget=2)
-    assert not result.valid
-    assert result.violations
-    assert result.violations == check_rule_oracle(wrong, 2)[2]
+    assert not result.ok
+    assert result.failures
+    assert result.failures == check_rule_oracle(wrong, 2)[2]
+
+
+def test_rules_verdict_lines_name_an_invalid_rule(capsys, monkeypatch):
+    # the verdict bytes `rules` prints, with an invalid rule in the table
+    wrong = InferenceRule("broken", 2, lambda a, b: ((a,), class_and(a, b)))
+    monkeypatch.setattr(deduction, "CLASSICAL_RULES", (wrong, *CLASSICAL_RULES[:2]))
+    assert cli.run(["rules", "--atoms", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "broken: INVALID (checked 256)\n"
+        "modus-ponens: valid (checked 256)\n"
+        "and-elim-left: valid (checked 256)\n"
+    )
 
 
 _SCHEMA_OPS = {"and": class_and, "or": class_or, "iff": class_iff}
@@ -402,7 +415,7 @@ def _schema_rule(schema):
 @example((1, (("iff", 0, 0),), ("not", 0)), 3)
 def test_rules_decided_on_the_schema_match_every_instance(schema, atoms):
     result = check_rule(_schema_rule(schema), atom_budget=atoms)
-    assert (result.name, result.instances, result.violations) == check_rule_oracle(
+    assert (result.name, result.checked, result.failures) == check_rule_oracle(
         _schema_rule(schema), atoms
     )
 
@@ -411,7 +424,7 @@ def test_classical_rules_match_every_instance():
     for rule in CLASSICAL_RULES:
         for atoms in (1, 2):
             result = check_rule(rule, atom_budget=atoms)
-            assert (result.name, result.instances, result.violations) == check_rule_oracle(
+            assert (result.name, result.checked, result.failures) == check_rule_oracle(
                 rule, atoms
             )
 

@@ -285,6 +285,16 @@ def test_check_module_axioms_needs_a_proof(sp):
         check_module_axioms(sp, [ClassScalar(cls("p"))], [])
 
 
+def test_check_module_axioms_rejects_negative_samples(sp):
+    # a negative count would sample no instance and report every law ok
+    scalars, proofs = [ClassScalar(cls("p")), FORMAL_ONE], [node("p")]
+    for exhaustive in (False, True):
+        with pytest.raises(ValueError, match="samples must be non-negative, got -5"):
+            check_module_axioms(sp, scalars, proofs, samples=-5, exhaustive=exhaustive)
+    report = check_module_axioms(sp, scalars, proofs, samples=0)
+    assert [law.checked for law in report.laws] == [0] * 9
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_restricted_domain_indexes_the_listed_triples(seed):

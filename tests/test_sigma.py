@@ -23,6 +23,7 @@ from prooflab import (
     ring_add,
     ring_mul,
 )
+from prooflab.sigma import LawCheck, LawReport
 
 from _oracles import class_value, member_oracle, random_formula, ring_audit_oracle, witness_oracle
 
@@ -173,7 +174,7 @@ def test_ring_axioms_all_member_classes(sp_pq):
     assert len(members) == 8  # exactly half of the 16 classes hold at any witness
     report = check_ring_axioms(sp_pq, members)
     assert report.ok
-    assert report.violation_count == 0
+    assert sum(len(law.failures) for law in report.laws) == 0
 
 
 def test_ring_axioms_singleton_tautology(sp_empty):
@@ -203,7 +204,35 @@ def test_ring_axioms_detect_corrupted_op(sp_pq):
 
     report = check_ring_axioms(sp_pq, members, add_op=class_and)
     assert not report.ok
-    assert report.violation_count > 0
+    assert sum(len(law.failures) for law in report.laws) > 0
+
+
+# the bytes of one failing audit, written out: the direct-check oracle
+# renders through the same report type, so only this pins the layout.
+# Conjunction fails self-inverse on 7 of the 8 members; 5 are shown
+CORRUPTED_ADD_REPORT = """\
+law                      checked  failed
+add-closure                   64       0
+mul-closure                   64       0
+add-commutative               64       0
+add-associative              512       0
+add-neutral                    8       0
+add-self-inverse               8       7
+mul-commutative               64       0
+mul-associative              512       0
+mul-idempotent                 8       0
+mul-distributes-over-add     512       0
+  add-self-inverse: [p,q;0001] + [p,q;0001] not taut
+  add-self-inverse: [p,q;0111] + [p,q;0111] not taut
+  add-self-inverse: [p,q;1001] + [p,q;1001] not taut
+  add-self-inverse: [p,q;1011] + [p,q;1011] not taut
+  add-self-inverse: [p,q;1101] + [p,q;1101] not taut"""
+
+
+def test_corrupted_ring_audit_renders_its_bytes(sp_pq):
+    members = _member_classes(sp_pq, ["p", "q"])
+    report = check_ring_axioms(sp_pq, members, add_op=class_and)
+    assert report.render() == CORRUPTED_ADD_REPORT
 
 
 # injected operations: the ring's own, one that stays among the members,
@@ -246,6 +275,36 @@ def test_ring_audit_matches_the_direct_check(base, bit, atoms, subset, add_name,
     report = check_ring_axioms(sp, elements, *ops)
     assert report.laws == expected.laws
     assert report.render() == expected.render()
+
+
+def test_law_report_kind_column_and_heading_follow_diagnostic_laws():
+    laws = (LawCheck("a", 3, ()), LawCheck("bb", 12, ("x", "y")))
+    plain = LawReport(laws, 4, 1)
+    assert not plain.ok
+    assert plain.render() == "law  checked  failed\na          3       0\nbb        12       2\n  bb: x"
+    mixed = LawReport((laws[0], LawCheck("c", 2, ("z",), True)), 4, 1)
+    assert mixed.ok  # a diagnostic's failures are reported, not asserted
+    assert mixed.render() == (
+        "law  checked  failed  kind\n"
+        "a          3       0  guaranteed\n"
+        "c          2       1  diagnostic\n"
+        "counterexamples:\n"
+        "  c: z"
+    )
+    # the heading stands over counterexamples only
+    quiet = LawReport((LawCheck("c", 2, (), True),), 4, 1)
+    assert quiet.render() == "law  checked  failed  kind\nc          2       0  diagnostic"
+
+
+def test_law_lookup_and_verdict():
+    report = LawReport((LawCheck("a", 3, ()), LawCheck("b", 4, ("x",))), 24, 5)
+    assert report.law("b") is report.laws[1]
+    with pytest.raises(KeyError):
+        report.law("c")
+    assert [law.verdict() for law in report.laws] == [
+        "a: valid (checked 3)",
+        "b: INVALID (checked 4)",
+    ]
 
 
 def test_report_render(sp_pq):
