@@ -20,7 +20,7 @@ from .deduction import (
     classical_rules_report,
     induce_interpretation,
 )
-from .errors import ProofLabError, ResourceLimit
+from .errors import ProofLabError
 from .files import (
     proof_file_length,
     proof_file_text,
@@ -31,7 +31,6 @@ from .files import (
 )
 from .module_algebra import add, check_module_axioms, scalar_mul
 from .proof import (
-    MAX_PROOF_TEXT,
     ProofNode,
     _pretty_class_length,
     digest_hex,
@@ -39,6 +38,7 @@ from .proof import (
     pretty_proof,
     proof_eq,
     prove,
+    require_budget,
     text_length,
 )
 from .propclass import DEFAULT_ATOM_CAP, MAX_ATOM_CAP, all_classes
@@ -164,20 +164,13 @@ def _load_deduction(args) -> Deduction:
     return Deduction(tuple(steps), sp)
 
 
-def _require_budget(name: str, n: int) -> None:
-    """Refuse a ``name`` text of ``n`` characters over ``MAX_PROOF_TEXT``
-    with :class:`ResourceLimit`, before anything builds it."""
-    if n > MAX_PROOF_TEXT:
-        raise ResourceLimit(f"{name} text of {n} characters exceeds the budget of {MAX_PROOF_TEXT}")
-
-
 def _require_text_budget(r: ProofNode, pretty: bool) -> None:
     """Check the text ``_emit_proof`` would build against the budget.
     Pretty output sorts children by their canonical text, so that text
     has to fit too."""
     if pretty:
-        _require_budget("pretty proof", text_length(r, pretty=True) + 1)
-    _require_budget("canonical proof", proof_file_length(r))
+        require_budget("pretty proof", text_length(r, pretty=True) + 1)
+    require_budget("canonical proof", proof_file_length(r))
 
 
 def _emit_proof(args, r: ProofNode, pretty: bool = False) -> None:
@@ -244,19 +237,13 @@ def _table_args(
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``argv`` decoded by the option table of the command it names, or
-    else parsed by that command's parser; any other argv, and one that
-    leaves arguments over, goes through the full parser, which reports
-    every usage error in its own words."""
+    """``argv`` decoded by the option table of the command it names; any
+    other argv goes through the full parser, which reports every usage
+    error in its own words."""
     top, commands = _build_parser()
     if argv and argv[0] in commands:
-        parser = commands[argv[0]]
-        args = _table_args(argv[0], argv[1:], parser)
+        args = _table_args(argv[0], argv[1:], commands[argv[0]])
         if args is not None:
-            return args
-        namespace = argparse.Namespace(command=argv[0])
-        args, extras = parser.parse_known_args(argv[1:], namespace)
-        if not extras:
             return args
     return top.parse_args(argv)
 
@@ -282,7 +269,7 @@ def _dispatch(args) -> int:
         if args.format == "canonical":
             print(c.text())
         else:
-            _require_budget("pretty class", _pretty_class_length(c) + 1)
+            require_budget("pretty class", _pretty_class_length(c) + 1)
             print(pretty_class(c))
         return 0
 

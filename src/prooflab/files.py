@@ -85,7 +85,8 @@ def read_proof_text(text: str) -> ProofNode:
     lines = _split_lines(text)
     if lines[0].strip() != PROOF_FORMAT_LINE:
         raise ParseError("proof file must start with 'format: 1'")
-    body = "".join(line.strip() for line in lines[1:])
+    # a one-line body, as every written file has, is the line itself
+    body = "".join([line for line in map(str.strip, lines[1:]) if line])
     return parse_proof(body)
 
 

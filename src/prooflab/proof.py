@@ -30,7 +30,7 @@ from operator import attrgetter, is_
 from typing import Any, Callable, NoReturn, Optional
 
 from ._record import FrozenInstanceError
-from .errors import InvalidInterpretation, ParseError
+from .errors import InvalidInterpretation, ParseError, ResourceLimit
 from .formula import MAX_DEPTH
 from .propclass import (
     CONTRADICTION,
@@ -44,10 +44,18 @@ from .deduction import Deduction, Interpretation, induce_interpretation, validat
 
 ProofDigest = bytes
 
-# characters of proof text the CLI builds for one proof; a reading
+# characters of text built for one proof's output or digest; a reading
 # justifies step u by every step before it, so the text of an n-step
 # proof can double per step while the proof holds n distinct nodes
 MAX_PROOF_TEXT = 1 << 24
+
+
+def require_budget(name: str, n: int) -> None:
+    """Refuse a ``name`` text of ``n`` characters over ``MAX_PROOF_TEXT``
+    with :class:`ResourceLimit`, before anything builds it."""
+    if n > MAX_PROOF_TEXT:
+        raise ResourceLimit(f"{name} text of {n} characters exceeds the budget of {MAX_PROOF_TEXT}")
+
 
 # the normal-form cache of a node that is its own normal form; a flag
 # rather than a reference to the node, so the cache makes no cycle
@@ -204,8 +212,12 @@ def _serialize(node: ProofNode, value: Callable[[ProofNode], str]) -> str:
 
 def digest(r: ProofNode) -> ProofDigest:
     """Collision-resistant digest of the canonical serialization; kept
-    on the node."""
+    on the node. A node that holds no text is measured first, and one
+    whose text would exceed ``MAX_PROOF_TEXT`` raises
+    :class:`ResourceLimit` before any of it is built."""
     if r._digest is None:
+        if r._text is None:
+            require_budget("canonical proof", text_length(r))
         text = canonical_serialize(r).encode("utf-8")
         _set_digest(r, hashlib.sha256(text).digest())
     return r._digest
@@ -267,13 +279,6 @@ def _normalize(node: ProofNode, value: Callable[[ProofNode], ProofNode]) -> Proo
     if normal is not node:
         _set_normal(node, normal)
     return normal
-
-
-def sorted_children(r: ProofNode) -> list[ProofNode]:
-    """Children in canonical (serialization) order; empty for premises."""
-    if r.children is None:
-        return []
-    return sorted(r.children, key=canonical_serialize)
 
 
 def build_proof(
@@ -491,7 +496,7 @@ def pretty_proof(r: ProofNode) -> str:
     def walk(node: ProofNode, depth: int) -> None:
         marker = _PREMISE_MARK if node.is_premise else ""
         lines.append("  " * depth + "- " + pretty_class(node.conclusion) + marker)
-        for child in sorted_children(node):
+        for child in sorted(node.children or (), key=canonical_serialize):
             walk(child, depth + 1)
 
     walk(r, 0)

@@ -9,6 +9,7 @@ valuation entries) are touched, never the operation paths under test.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from itertools import combinations, product
@@ -346,17 +347,16 @@ def rewrite_oracle(r: ProofNode, sigma: PropClass, new_children) -> ProofNode:
 
 def find_occurrences_oracle(r: ProofNode, sigma: PropClass) -> list[tuple[str, ...]]:
     """Every digest path to a node concluding ``sigma``, collected in
-    canonical pre-order and listed shallowest first, ties by path text."""
-    from prooflab import digest_hex
-    from prooflab.proof import sorted_children
-
+    canonical pre-order and listed shallowest first, ties by path text;
+    a digest is the SHA-256 of ``serialize_oracle``'s text."""
     hits = []
 
     def walk(node, path):
         if node.conclusion == sigma:
             hits.append(path)
-        for child in sorted_children(node):
-            walk(child, path + (digest_hex(child),))
+        texts = {serialize_oracle(c): c for c in node.children or ()}
+        for text in sorted(texts):
+            walk(texts[text], path + (hashlib.sha256(text.encode("utf-8")).hexdigest(),))
 
     walk(r, ())
     return sorted(hits, key=lambda p: (len(p), p))
@@ -364,10 +364,8 @@ def find_occurrences_oracle(r: ProofNode, sigma: PropClass) -> list[tuple[str, .
 
 def require_members_oracle(r: ProofNode, sp: SigmaPrime) -> None:
     """``require_member`` on every conclusion in canonical pre-order."""
-    from prooflab import canonical_serialize
-
     sp.require_member(r.conclusion)
-    for c in sorted(r.children or (), key=canonical_serialize):
+    for c in sorted(r.children or (), key=serialize_oracle):
         require_members_oracle(c, sp)
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -620,6 +621,26 @@ def test_cli_prove_budget_admits_21_steps_of_the_chain(capsys, tmp_path):
             )
 
 
+def test_reading_a_proof_file_copies_its_body_once():
+    # the canonical text of an 18-step chain u, then u | v, written out
+    # without nodes (atoms no other test uses, so no live node holds its
+    # text); a one-line body reaches the parser as the line itself, and
+    # the nodes keep spans of it, about one more body in all
+    texts = ["{[u;01],{0}}"]
+    for _ in range(17):
+        texts.append("{[u,v;0111],{%s}}" % ",".join(sorted(texts)))
+    body = texts[-1]
+    text = f"format: 1\n{body}\n"
+    tracemalloc.start()
+    try:
+        r = read_proof_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert canonical_serialize(r) == body
+    assert peak < 2.5 * len(body)
+
+
 def _no_proof_text(monkeypatch):
     def no_text(*args, **kwargs):
         raise AssertionError("proof text built over the budget")
@@ -971,9 +992,9 @@ def dispatch_argvs(draw):
 
 def test_cli_dispatch_changes_no_byte(tmp_path, monkeypatch):
     # run decodes an argv that names a command with that command's option
-    # table, and else hands it to that command's parser; with the table
-    # route shut, the command parser serves it, and with the map of
-    # commands emptied, every argv takes the full parser
+    # table, and hands any other argv to the full parser; with the table
+    # route shut, or with the map of commands emptied, every argv takes
+    # the full parser
     monkeypatch.setenv("COLUMNS", "72")
     monkeypatch.chdir(tmp_path)
     commands = _build_parser()[1]

@@ -15,6 +15,7 @@ from prooflab import (
     ParseError,
     ProofNode,
     PropClass,
+    ResourceLimit,
     TAUTOLOGY,
     add,
     all_classes,
@@ -658,6 +659,37 @@ def test_digest_hex_stable():
     r = ProofNode(TAUTOLOGY)
     assert digest_hex(r) == digest(r).hex()
     assert len(digest_hex(r)) == 64
+
+
+def _chain_proof(n):
+    """The proof of ``p``, then ``p | q`` n - 1 times, under base ``p``:
+    step u is justified by every step before it, so the proof holds n
+    distinct nodes and its text doubles per step."""
+    sp = lindenbaum_extend(frozenset({cls("p")}), 0)
+    return prove(ded(sp, "p", *["p | q"] * (n - 1)))
+
+
+def test_digest_refuses_a_built_proof_over_the_budget(monkeypatch):
+    r = _chain_proof(22)
+    assert text_length(r) == 29_360_127
+
+    def no_text(*args):
+        raise AssertionError("proof text built over the budget")
+
+    monkeypatch.setattr("prooflab.proof.canonical_serialize", no_text)
+    with pytest.raises(ResourceLimit) as exc:
+        digest_hex(r)
+    assert str(exc.value) == (
+        "canonical proof text of 29360127 characters exceeds the budget of 16777216"
+    )
+    assert r._text is None and r._digest is None
+
+
+def test_digest_of_the_21_step_chain():
+    # the digest the CLI prints for eq on the file prove writes
+    r = _chain_proof(21)
+    assert text_length(r) == 14_680_063
+    assert digest_hex(r) == "558f91f0b3ff923340c44f1d19480d4bb8748308de3526015f368e35ec41b960"
 
 
 def test_pretty_class_is_the_rendered_representative():
