@@ -22,7 +22,6 @@ from .deduction import (
 )
 from .errors import ProofLabError
 from .files import (
-    proof_file_length,
     proof_file_text,
     read_deduction_file,
     read_formula_arg,
@@ -32,14 +31,11 @@ from .files import (
 from .module_algebra import add, check_module_axioms, scalar_mul
 from .proof import (
     ProofNode,
-    _pretty_class_length,
     digest_hex,
     pretty_class,
     pretty_proof,
     proof_eq,
     prove,
-    require_budget,
-    text_length,
 )
 from .propclass import DEFAULT_ATOM_CAP, MAX_ATOM_CAP, all_classes
 from .sigma import (
@@ -164,17 +160,7 @@ def _load_deduction(args) -> Deduction:
     return Deduction(tuple(steps), sp)
 
 
-def _require_text_budget(r: ProofNode, pretty: bool) -> None:
-    """Check the text ``_emit_proof`` would build against the budget.
-    Pretty output sorts children by their canonical text, so that text
-    has to fit too."""
-    if pretty:
-        require_budget("pretty proof", text_length(r, pretty=True) + 1)
-    require_budget("canonical proof", proof_file_length(r))
-
-
 def _emit_proof(args, r: ProofNode, pretty: bool = False) -> None:
-    _require_text_budget(r, pretty)
     text = pretty_proof(r) + "\n" if pretty else proof_file_text(r)
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -266,11 +252,7 @@ def run(argv: list[str]) -> int:
 def _dispatch(args) -> int:
     if args.command == "parse":
         c = read_formula_arg(args.formula, args.atom_cap)
-        if args.format == "canonical":
-            print(c.text())
-        else:
-            require_budget("pretty class", _pretty_class_length(c) + 1)
-            print(pretty_class(c))
+        print(c.text() if args.format == "canonical" else pretty_class(c))
         return 0
 
     if args.command == "check":

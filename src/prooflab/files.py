@@ -15,7 +15,7 @@ import os
 
 from .errors import ParseError
 from .propclass import DEFAULT_ATOM_CAP, PropClass, canonicalize_text
-from .proof import ProofNode, canonical_serialize, parse_proof, text_length
+from .proof import ProofNode, canonical_serialize, parse_proof, require_budget, text_length
 
 PROOF_FORMAT_LINE = "format: 1"
 
@@ -68,17 +68,15 @@ def read_deduction_file(
 
 
 def proof_file_text(r: ProofNode) -> str:
+    """The proof file of ``r``, refused over ``MAX_PROOF_TEXT`` before it is built."""
+    require_budget("canonical proof", len(PROOF_FORMAT_LINE) + 2 + text_length(r))
     return f"{PROOF_FORMAT_LINE}\n{canonical_serialize(r)}\n"
 
 
-def proof_file_length(r: ProofNode) -> int:
-    """``len(proof_file_text(r))``, without building the text."""
-    return len(PROOF_FORMAT_LINE) + 2 + text_length(r)
-
-
 def write_proof_file(path: str, r: ProofNode) -> None:
+    text = proof_file_text(r)  # before the open, so a refusal leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(proof_file_text(r))
+        fh.write(text)
 
 
 def read_proof_text(text: str) -> ProofNode:

@@ -110,7 +110,10 @@ class ProofNode:
         return ProofNode, (self.conclusion, self.children)
 
     def __repr__(self) -> str:
-        return f"ProofNode(conclusion={self.conclusion!r}, children={self.children!r})"
+        # the child count, not the children: spelled out, a built proof
+        # doubles its text per deduction step
+        kids = "None" if self.children is None else f"<set of {len(self.children)}>"
+        return f"ProofNode(conclusion={self.conclusion!r}, children={kids})"
 
     @property
     def is_premise(self) -> bool:
@@ -472,9 +475,15 @@ def _node_error(text: str, i: int, depth: int) -> NoReturn:
 
 def pretty_class(c: PropClass) -> str:
     """Full-DNF rendering of a conclusion; constants print as 1 and 0.
+    One longer than ``MAX_PROOF_TEXT`` with the newline a writer ends it
+    with raises :class:`ResourceLimit` before any of it is built."""
+    require_budget("pretty class", _pretty_class_length(c) + 1)
+    return _dnf_text(c)
 
-    The text is ``render(representative(c))``, joined minterm by minterm
-    rather than walked down the fold of one ``|`` per minterm."""
+
+def _dnf_text(c: PropClass) -> str:
+    """``render(representative(c))``, joined minterm by minterm rather
+    than walked down the fold of one ``|`` per minterm; unmeasured."""
     if not c.support:
         return "1" if c != CONTRADICTION else "0"
     n = len(c.support)
@@ -490,16 +499,21 @@ _PREMISE_MARK = "  [premise]"
 
 
 def pretty_proof(r: ProofNode) -> str:
-    """Indented, display-only tree with DNF conclusions."""
+    """Indented, display-only tree with DNF conclusions and children in
+    canonical order. This text with its final newline, and then the
+    canonical text that orders the children, are refused as in
+    :func:`pretty_class`; the walk keeps its own stack."""
+    require_budget("pretty proof", text_length(r, pretty=True) + 1)
+    require_budget("canonical proof", text_length(r))
     lines: list[str] = []
-
-    def walk(node: ProofNode, depth: int) -> None:
+    stack = [(r, 0)]
+    while stack:
+        node, depth = stack.pop()
         marker = _PREMISE_MARK if node.is_premise else ""
-        lines.append("  " * depth + "- " + pretty_class(node.conclusion) + marker)
-        for child in sorted(node.children or (), key=canonical_serialize):
-            walk(child, depth + 1)
-
-    walk(r, 0)
+        lines.append("  " * depth + "- " + _dnf_text(node.conclusion) + marker)
+        # distinct children have distinct texts: pushed descending, popped ascending
+        kids = sorted(node.children or (), key=canonical_serialize, reverse=True)
+        stack.extend((c, depth + 1) for c in kids)
     return "\n".join(lines)
 
 

@@ -14,7 +14,15 @@ from itertools import pairwise
 
 from .errors import BadPath, NotFound, PremiseDonor
 from .propclass import PropClass
-from .proof import ProofNode, canonical_serialize, digest_hex, fold, normalize, rejustify
+from .proof import (
+    ProofNode,
+    canonical_serialize,
+    digest_hex,
+    fold,
+    normalize,
+    rejustify,
+    require_budget,
+)
 from .sigma import SigmaPrime
 
 ProofPath = tuple[str, ...]
@@ -43,35 +51,65 @@ def parse_path(text: str) -> ProofPath:
 
 def find_occurrences(r: ProofNode, sigma: PropClass) -> list[ProofPath]:
     """All digest paths to nodes concluding ``sigma``, shallowest first,
-    ties broken by path text."""
-    hits: list[ProofPath] = []
+    ties broken by path text.
 
-    def walk(node: ProofNode, path: ProofPath) -> None:
+    The list is measured first, as the space-joined ``format_path``
+    text, and one over ``MAX_PROOF_TEXT`` raises :class:`ResourceLimit`
+    before any path is built. The walk keeps its own stack and enters
+    only children with a hit below them, so it costs about the size of
+    what it lists."""
+    paths, length = _paths_below(r, sigma)
+    require_budget("occurrence list", length)
+    hits: list[ProofPath] = []
+    stack: list[tuple[ProofNode, ProofPath]] = [(r, ())]
+    while stack:
+        node, path = stack.pop()
         if node.conclusion == sigma:
             hits.append(path)
-        for child in node.children or ():
-            walk(child, path + (digest_hex(child),))
-
-    walk(r, ())
+        for c in node.children or ():
+            if paths[c]:
+                stack.append((c, path + (digest_hex(c),)))
     return sorted(hits, key=lambda p: (len(p), p))
 
 
-def _first_occurrence(r: ProofNode, sigma: PropClass) -> ProofNode | None:
-    """The node at ``find_occurrences(r, sigma)[0]``, or None, found
-    level by level over distinct nodes without listing paths.
+def _paths_below(r: ProofNode, sigma: PropClass) -> tuple[dict[ProofNode, int], int]:
+    """For each distinct node of ``r``, the number of paths from it down
+    to a node concluding ``sigma``; and, when ``r`` has one, the length
+    of the space-joined ``format_path`` list of ``r``'s paths.
 
-    Level d holds the nodes whose shortest path has d steps; the search
-    stops at the first level with a hit. Only a tie there reads digests,
-    and only those of the hits and of their ancestors in the levels
-    above."""
-    parents: dict[ProofNode, list[ProofNode]] = {r: []}  # each one level up
+    One fold sums each node's paths and their steps S from its
+    children's. A path of k > 0 steps prints 13k - 1 characters and the
+    root path one, so the list prints 13S + 2[r concludes sigma] - 1."""
+    paths: dict[ProofNode, int] = {}
+
+    def visit(node: ProofNode, value) -> tuple[int, int]:
+        count, steps = int(node.conclusion == sigma), 0
+        for c in node.children or ():
+            n, s = value(c)
+            count += n
+            steps += s + n
+        paths[node] = count
+        return count, steps
+
+    steps = fold(r, visit)[1]
+    return paths, (PATH_PREFIX_LEN + 1) * steps + 2 * (r.conclusion == sigma) - 1
+
+
+def _nearest_hits(
+    r: ProofNode, sigma: PropClass
+) -> tuple[list[ProofNode], dict[ProofNode, list[ProofNode]]]:
+    """The nodes concluding ``sigma`` at the first level that holds one
+    (none when no level does), and each node's parents one level up.
+
+    Level d holds the nodes whose shortest path has d steps, so the
+    search visits each distinct node above the hits once and stops at
+    the first level with a hit."""
+    parents: dict[ProofNode, list[ProofNode]] = {r: []}
     level = [r]
     while level:
         hits = [node for node in level if node.conclusion == sigma]
-        if len(hits) > 1:
-            return min(hits, key=_smallest_paths(hits, parents).__getitem__)
         if hits:
-            return hits[0]
+            return hits, parents
         below: dict[ProofNode, list[ProofNode]] = {}
         for node in level:
             for c in node.children or ():
@@ -79,24 +117,26 @@ def _first_occurrence(r: ProofNode, sigma: PropClass) -> ProofNode | None:
                     below.setdefault(c, []).append(node)
         parents.update(below)
         level = list(below)
-    return None
+    return [], parents
 
 
-def _smallest_paths(
-    hits: list[ProofNode], parents: dict[ProofNode, list[ProofNode]]
-) -> dict[ProofNode, ProofPath]:
-    """The smallest shortest digest path to each node of one level and
-    to each of its ancestors above it. A shortest path runs through
-    nodes that are all at their own level, so a node's smallest one
-    extends the smallest of its parents' one level up."""
-    layers = [hits]
-    while parents[layers[-1][0]]:
-        layers.append(list(dict.fromkeys(p for node in layers[-1] for p in parents[node])))
-    paths: dict[ProofNode, ProofPath] = {layers[-1][0]: ()}
-    for layer in reversed(layers[:-1]):
-        for node in layer:
-            paths[node] = min(paths[p] for p in parents[node]) + (digest_hex(node),)
-    return paths
+def _first_occurrence(r: ProofNode, sigma: PropClass) -> ProofNode | None:
+    """The node at ``find_occurrences(r, sigma)[0]``, or None, without
+    listing paths.
+
+    Only a tie at the nearest level reads digests: the nodes on shortest
+    paths to the hits are marked level by level, and a descent from the
+    root takes, at each level, the marked child with the least digest."""
+    hits, parents = _nearest_hits(r, sigma)
+    if len(hits) < 2:
+        return hits[0] if hits else None
+    marked = [set(hits)]
+    while r not in marked[-1]:
+        marked.append({p for node in marked[-1] for p in parents[node]})
+    node = r
+    for layer in reversed(marked[:-1]):
+        node = min(layer.intersection(node.children), key=digest_hex)
+    return node
 
 
 def _walk(r: ProofNode, path: ProofPath) -> list[ProofNode]:
@@ -121,7 +161,7 @@ def extract_subproof(r: ProofNode, path: ProofPath) -> ProofNode:
 def require_target(r: ProofNode, sigma: PropClass, path: ProofPath | None) -> None:
     """Raise :class:`NotFound` unless ``sigma`` occurs in ``r`` and
     ``path``, when given, addresses a node concluding it."""
-    if not fold(r, lambda n, value: n.conclusion == sigma or any(map(value, n.children or ()))):
+    if not _nearest_hits(r, sigma)[0]:
         raise NotFound(f"{sigma.text()} does not occur in the target")
     if path is not None:
         target = extract_subproof(r, path)

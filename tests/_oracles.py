@@ -15,6 +15,7 @@ import re
 from itertools import combinations, product
 
 from prooflab import And, Atom, Deduction, Not, Or, ParseError, ProofNode, PropClass, SigmaPrime
+from prooflab import TAUTOLOGY, render, representative
 from prooflab.formula import MAX_DEPTH, fold
 
 
@@ -367,6 +368,18 @@ def require_members_oracle(r: ProofNode, sp: SigmaPrime) -> None:
     sp.require_member(r.conclusion)
     for c in sorted(r.children or (), key=serialize_oracle):
         require_members_oracle(c, sp)
+
+
+def pretty_oracle(r: ProofNode, depth: int = 0) -> str:
+    """``pretty_proof`` by recursion: the node's line, then each child's
+    subtree one level deeper in ``serialize_oracle`` order; a class
+    prints as its rendered representative, and a constant as 1 or 0."""
+    c = r.conclusion
+    text = "1" if c == TAUTOLOGY else "0" if not c.support else render(representative(c))
+    lines = ["  " * depth + "- " + text + ("  [premise]" if r.children is None else "")]
+    for child in sorted(r.children or (), key=serialize_oracle):
+        lines.append(pretty_oracle(child, depth + 1))
+    return "\n".join(lines)
 
 
 # --- the recursive proof parser ----------------------------------------------

@@ -29,7 +29,7 @@ from prooflab import (
 from prooflab import cli
 from prooflab.cli import _build_parser, _table_args, main, run
 from prooflab.files import (
-    proof_file_length,
+    PROOF_FORMAT_LINE,
     proof_file_text,
     read_deduction_file,
     read_proof_file,
@@ -38,6 +38,7 @@ from prooflab.files import (
     write_proof_file,
 )
 from prooflab.formula import MAX_DEPTH
+from prooflab.proof import text_length
 
 from test_proof import nested_proof_text
 
@@ -187,7 +188,7 @@ def test_cli_parse_pretty_checks_the_text_budget_before_building_text(capsys, mo
     def no_text(*args, **kwargs):
         raise AssertionError("class text built over the budget")
 
-    monkeypatch.setattr("prooflab.cli.pretty_class", no_text)
+    monkeypatch.setattr("prooflab.proof._dnf_text", no_text)
     code, out, err = run_cli(capsys, "parse", formula, "--format", "pretty", "--atom-cap", "18")
     assert (code, out) == (1, "")
     assert err == (
@@ -573,7 +574,7 @@ def test_cli_prove_checks_the_text_budget_before_building_text(
         raise AssertionError("proof text built over the budget")
 
     for name in ("prooflab.proof.canonical_serialize", "prooflab.files.canonical_serialize",
-                 "prooflab.cli.pretty_proof"):
+                 "prooflab.proof._dnf_text"):
         monkeypatch.setattr(name, no_text)
     # twice: building a proof equal to one built before in the process
     # must not compare the two node by node, as trees of 2**199 paths
@@ -645,7 +646,7 @@ def _no_proof_text(monkeypatch):
     def no_text(*args, **kwargs):
         raise AssertionError("proof text built over the budget")
 
-    for name in ("prooflab.files.canonical_serialize", "prooflab.cli.pretty_proof"):
+    for name in ("prooflab.files.canonical_serialize", "prooflab.proof._dnf_text"):
         monkeypatch.setattr(name, no_text)
 
 
@@ -696,7 +697,9 @@ def test_cli_replace_checks_the_text_budget(capsys, monkeypatch, tmp_path):
     write_proof_file(paths["t"], target)
     write_proof_file(paths["d"], donor)
     (tmp_path / "s.txt").write_text("x0\n")
-    length = proof_file_length(replace_subproof(target, cls("x0 | y"), donor, sp))
+    length = len(PROOF_FORMAT_LINE) + 2 + text_length(
+        replace_subproof(target, cls("x0 | y"), donor, sp)
+    )
     assert length > 16_777_216
     _no_proof_text(monkeypatch)
     output = tmp_path / "out.proof"
@@ -709,6 +712,34 @@ def test_cli_replace_checks_the_text_budget(capsys, monkeypatch, tmp_path):
         f"error: ResourceLimit: canonical proof text of {length} characters "
         "exceeds the budget of 16777216"
     )
+
+
+def test_cli_surgery_refuses_the_occurrence_list_of_the_21_step_chain(
+    capsys, monkeypatch, tmp_path
+):
+    # 524,288 paths to [p,q;0111] in a 14.7 MB file within the budget:
+    # the list is refused from one fold, before any path is formatted
+    sp = lindenbaum_extend(frozenset({cls("p")}), 0)
+    chain = prooflab.prove(prooflab.Deduction((cls("p"),) + (cls("p | q"),) * 20, sp))
+    target = tmp_path / "chain21.proof"
+    write_proof_file(str(target), chain)
+
+    def no_path(*args):
+        raise AssertionError("occurrence path built over the budget")
+
+    monkeypatch.setattr("prooflab.cli.format_path", no_path)
+    monkeypatch.setattr("prooflab.surgery.digest_hex", no_path)
+    for command in ("extract", "eliminate"):
+        output = tmp_path / f"{command}.proof"
+        code, out, err = run_cli(
+            capsys, command, "--target", str(target), "--sigma-class", "p | q",
+            "--output", str(output),
+        )
+        assert (code, out, output.exists()) == (1, "", False)
+        assert err == (
+            "error: ResourceLimit: occurrence list text of 64749569 characters "
+            "exceeds the budget of 16777216\n"
+        )
 
 
 def test_cli_prove_long_deduction_with_a_short_proof(capsys, tmp_path):

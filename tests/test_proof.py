@@ -41,7 +41,7 @@ from prooflab import (
     validate_interpretation,
 )
 
-from prooflab.files import proof_file_length, proof_file_text, read_proof_text
+from prooflab.files import PROOF_FORMAT_LINE, proof_file_text, read_proof_text, write_proof_file
 from prooflab.formula import MAX_DEPTH
 from prooflab.proof import (
     _NODES,
@@ -58,6 +58,7 @@ from _oracles import (
     random_formula,
     parse_proof_oracle,
     premises_oracle,
+    pretty_oracle,
     random_member_class,
     random_proof,
     random_valid_deduction,
@@ -692,6 +693,80 @@ def test_digest_of_the_21_step_chain():
     assert digest_hex(r) == "558f91f0b3ff923340c44f1d19480d4bb8748308de3526015f368e35ec41b960"
 
 
+def linear_chain_proof(n):
+    """The proof of ``p``, then ``p | q`` n - 1 times, under base ``p``,
+    read with step u justified by step u - 1 alone: n distinct nodes on
+    one path, as deep as the deduction is long."""
+    sp = lindenbaum_extend(frozenset({cls("p")}), 0)
+    phi = Interpretation({1: 0, **{u: frozenset({u - 1}) for u in range(2, n + 1)}})
+    return build_proof(ded(sp, "p", *["p | q"] * (n - 1)), phi)
+
+
+def test_pretty_proof_of_a_1500_step_deduction():
+    # deeper than the interpreter's recursion limit; no walk recurses
+    r = linear_chain_proof(1500)
+    assert text_length(r) == len(canonical_serialize(r)) == 22_497
+    rows = ["  " * k + "- ~p & q | p & ~q | p & q" for k in range(1499)]
+    assert pretty_proof(r) == "\n".join(rows + ["  " * 1499 + "- p  [premise]"])
+    assert text_length(r, pretty=True) == len(pretty_proof(r))
+
+
+def _no_text_builders(monkeypatch):
+    def no_text(*args):
+        raise AssertionError("text built over the budget")
+
+    for name in ("prooflab.proof.canonical_serialize", "prooflab.files.canonical_serialize",
+                 "prooflab.proof._dnf_text"):
+        monkeypatch.setattr(name, no_text)
+
+
+def test_each_writer_refuses_its_text_before_building_it(monkeypatch, tmp_path):
+    # each writer counts its text as the CLI writes it: a proof file with
+    # its envelope, a pretty text with its final newline. The text of the
+    # 200-step chain runs to 2**199 characters, so a writer that built it
+    # would never end; the builders fail instead
+    eighteen = canonicalize(parse(" | ".join(f"x{i:02}" for i in range(18))), 18)
+    _no_text_builders(monkeypatch)
+    output = tmp_path / "big.proof"
+    cases = [(lambda: pretty_class(eighteen), "pretty class text of 30670720")]
+    for r in (_chain_proof(22), _chain_proof(200)):
+        text = len(PROOF_FORMAT_LINE) + 2 + text_length(r)
+        cases += [
+            (lambda r=r: proof_file_text(r), f"canonical proof text of {text}"),
+            (lambda r=r: write_proof_file(str(output), r), f"canonical proof text of {text}"),
+            (lambda r=r: pretty_proof(r), f"pretty proof text of {text_length(r, True) + 1}"),
+        ]
+    for write, message in cases:
+        with pytest.raises(ResourceLimit) as exc:
+            write()
+        assert str(exc.value) == f"{message} characters exceeds the budget of 16777216"
+    assert not output.exists()
+
+
+def test_pretty_proof_checks_the_canonical_text_it_sorts_by(monkeypatch):
+    # twenty premises, each a conjunction of twenty literals: their DNF
+    # lines are short, and their canonical tables 2**20 characters each
+    names = [f"x{i:02}" for i in range(20)]
+    conjunctions = [" & ".join("~" * (i == j) + n for j, n in enumerate(names)) for i in range(20)]
+    kids = [ProofNode(canonicalize(parse(text), 20)) for text in conjunctions]
+    r = ProofNode(cls("p"), frozenset(kids))
+    assert text_length(r, pretty=True) < 5000
+    _no_text_builders(monkeypatch)
+    with pytest.raises(ResourceLimit) as exc:
+        pretty_proof(r)
+    assert str(exc.value) == (
+        f"canonical proof text of {text_length(r)} characters exceeds the budget of 16777216"
+    )
+
+
+def test_repr_of_a_built_chain_is_short():
+    # spelled out, the built 16-step chain would print 2,834,430 characters
+    r = _chain_proof(16)
+    assert len(repr(r)) < 300
+    assert repr(r).endswith("children=<set of 15>)")
+    assert repr(ProofNode(cls("p"))).endswith("children=None)")
+
+
 def test_pretty_class_is_the_rendered_representative():
     for c in all_classes(["p", "q", "r"]):
         expected = "1" if c == TAUTOLOGY else "0" if not c.support else render(representative(c))
@@ -717,7 +792,7 @@ def test_text_length_is_the_length_of_the_written_text(seed):
         donor = ProofNode(built.conclusion, frozenset({a, b}))
         proofs.append(replace_subproof(built, built.conclusion, donor, sp))
     for r in proofs:
-        assert proof_file_length(r) == len(proof_file_text(r))
+        assert len(PROOF_FORMAT_LINE) + 2 + text_length(r) == len(proof_file_text(r))
         assert text_length(r, pretty=True) + 1 == len(pretty_proof(r) + "\n")
 
 
@@ -753,6 +828,7 @@ def test_folds_match_tree_walks(seed):
         donor = ProofNode(built.conclusion, frozenset({a, b}))
         proofs.append(replace_subproof(built, built.conclusion, donor, sp))
     for r in proofs:
+        assert pretty_proof(r) == pretty_oracle(r)
         assert canonical_serialize(normalize(r)) == canonical_serialize(normalize_oracle(r))
         assert premises(r) == premises_oracle(r)
         candidates = premises_oracle(r) | {r.conclusion, a.conclusion}

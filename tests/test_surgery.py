@@ -30,7 +30,9 @@ from prooflab import (
     replace_subproof,
 )
 from prooflab.proof import text_length
-from prooflab.surgery import _first_occurrence, _require_members
+from prooflab.surgery import _first_occurrence, _paths_below, _require_members
+
+from test_proof import linear_chain_proof
 
 from _oracles import (
     find_occurrences_oracle,
@@ -104,8 +106,23 @@ def test_find_occurrences_matches_the_canonical_walk(seed):
         build_proof(chain, induce_interpretation(chain)),
     ]
     for r in proofs:
-        for sigma in {*classes, *d.steps, cls("p"), cls("p | q"), cls("~p")}:
-            assert find_occurrences(r, sigma) == find_occurrences_oracle(r, sigma)
+        for sigma in {*classes, *d.steps, r.conclusion, cls("p"), cls("p | q"), cls("~p")}:
+            oracle = find_occurrences_oracle(r, sigma)
+            assert find_occurrences(r, sigma) == oracle
+            # the count and length the list is measured by, from one fold
+            paths, length = _paths_below(r, sigma)
+            assert paths[r] == len(oracle)
+            if oracle:
+                assert length == len(" ".join(map(format_path, oracle)))
+
+
+def test_find_occurrences_on_a_1500_step_deduction():
+    # deeper than the interpreter's recursion limit; no walk recurses
+    r = linear_chain_proof(1500)
+    (path,) = find_occurrences(r, cls("p"))
+    assert len(path) == 1499
+    assert extract_subproof(r, path) is node("p")
+    assert [len(p) for p in find_occurrences(r, cls("p | q"))] == list(range(1499))
 
 
 @settings(max_examples=80, deadline=None)
@@ -121,6 +138,20 @@ def test_donor_search_picks_the_first_listed_occurrence(seed):
         occ = find_occurrences(r, sigma)
         expected = extract_subproof(r, occ[0]) if occ else None
         assert _first_occurrence(r, sigma) is expected
+
+
+def test_donor_search_descends_one_level_at_a_time():
+    # b is a child of the root and of a, so it sits at level 1 and also
+    # one level below a; a has the least digest at level 1, so the first
+    # listed path runs through a to h2, and a descent that stepped from
+    # a down to b would end at h1
+    h1, h2 = node("p", node("q1")), node("p", node("q & r"))
+    b = node("q", h1)
+    a = node("q", b, h2)
+    r = node("p | q", a, b)
+    assert digest_hex(a) < digest_hex(b) < digest_hex(h2)
+    assert find_occurrences(r, cls("p"))[0] == (digest_hex(a), digest_hex(h2))
+    assert _first_occurrence(r, cls("p")) is h2
 
 
 def test_extract(target, donor):
