@@ -23,7 +23,10 @@ The one grammar builds into any algebra: :func:`parse` builds the AST,
 and ``propclass.canonicalize_text`` builds truth tables with no tree in
 between. Since ``<->`` shares its operands, a parsed formula is a DAG;
 every walk of one is a call to :func:`fold`, which evaluates the AST in
-any algebra and visits each shared subtree once.
+any algebra and visits each shared subtree once on :func:`walk`, the
+stack walker proofs share. ``MAX_DEPTH`` bounds input, and keeps the
+record ``==``, ``hash`` and ``repr``, which recurse, shallow on parsed
+trees.
 """
 
 from __future__ import annotations
@@ -38,14 +41,17 @@ from .errors import ParseError
 ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 # The deepest formula or proof the parsers accept, in levels of the
-# tree and in "(" and "~" open at once. It keeps every recursive walk
-# of a parsed tree far below the interpreter's recursion limit.
+# tree and in "(" and "~" open at once. It bounds input, and keeps the
+# record ==, hash and repr of a parsed tree, which recurse once per
+# level, far below the interpreter's recursion limit.
 MAX_DEPTH = 100
 
 
 @record
 class Atom:
     name: str
+
+    children = None  # a leaf
 
     def __post_init__(self):
         if ATOM_RE.fullmatch(self.name) is None:
@@ -56,17 +62,23 @@ class Atom:
 class Not:
     child: "Formula"
 
+    children = property(lambda self: (self.child,))
+
 
 @record
 class And:
     left: "Formula"
     right: "Formula"
 
+    children = property(lambda self: (self.left, self.right))
+
 
 @record
 class Or:
     left: "Formula"
     right: "Formula"
+
+    children = property(lambda self: (self.left, self.right))
 
 
 Formula = Union[Atom, Not, And, Or]
@@ -87,49 +99,76 @@ class Valuation:
         return self.assign.get(atom, self.default)
 
 
+def walk(r, visit, known=None):
+    """Evaluate ``visit(node, value)`` bottom-up over ``r``, where
+    ``value(child)`` is the result already computed for a child; a
+    node's ``children`` are the nodes below it, None for a leaf.
+
+    Each distinct node is visited once per call, keyed on its identity,
+    on a stack of its own, so a DAG of any depth walks: a built proof
+    shares its subtrees and is as deep as its deduction is long. With
+    ``known``, the walk asks ``known(node)`` before it reads a node's
+    children; a node for which it is not None takes that result, and
+    the walk does not enter it."""
+    if known is not None and (result := known(r)) is not None:
+        return result
+    memo = {}
+
+    def value(node):
+        return memo[id(node)]
+
+    stack = [(r, False)]
+    while stack:
+        node, ready = stack.pop()
+        key = id(node)
+        if ready:
+            memo[key] = visit(node, value)
+        elif key in memo:
+            continue
+        elif (children := node.children) is None:
+            memo[key] = visit(node, value)
+        else:
+            stack.append((node, True))
+            for c in children:
+                if id(c) in memo:
+                    continue
+                if known is not None and (result := known(c)) is not None:
+                    memo[id(c)] = result
+                else:
+                    stack.append((c, False))
+    return memo[id(r)]
+
+
 def fold(f: Formula, atom, neg, conj, disj):
     """The value of ``f`` in the algebra given by one function per node
     kind: ``atom(name)``, ``neg(x)``, ``conj(x, y)`` and ``disj(x, y)``.
 
-    The AST counterpart of :func:`build`. ``<->`` shares its
-    operands, so a parsed formula is a DAG: ``atom`` is called once per
-    distinct name and each binary node is computed once per call, keyed
-    on its identity (hashing a node hashes its fields, so it would
-    itself walk the tree).
-    Raises ``TypeError`` at the first node, left to right, whose type is
-    not ``Atom``, ``Not``, ``And`` or ``Or``.
+    The AST counterpart of :func:`build`, on :func:`walk`. ``<->``
+    shares its operands, so a parsed formula is a DAG: ``atom`` is
+    called once per distinct name and each node is computed once per
+    call, keyed on its identity (hashing a node hashes its fields, so it
+    would itself walk the tree).
+    Raises ``TypeError`` at a node whose type is not ``Atom``, ``Not``,
+    ``And`` or ``Or``, before its children are read.
     """
-    return _fold(f, {}, atom, neg, conj, disj)
+    names = {}  # each occurrence of an atom is a node of its own
 
+    def visit(g, value):
+        kind = type(g)
+        if kind is Atom:
+            name = g.name
+            if name not in names:
+                names[name] = atom(name)
+            return names[name]
+        if kind is Not:
+            return neg(value(g.child))
+        return (conj if kind is And else disj)(value(g.left), value(g.right))
 
-# one recursive function, not a closure: building a closure's cells
-# costs more than the whole walk of a small formula
-def _fold(g, memo, atom, neg, conj, disj):
-    kind = type(g)
-    if kind is Atom:
-        name = g.name
-        if name not in memo:  # names and node ids share the memo
-            memo[name] = atom(name)
-        return memo[name]
-    if kind is Not:
-        return neg(_fold(g.child, memo, atom, neg, conj, disj))
-    key = id(g)
-    if key in memo:
-        return memo[key]
-    if kind is And:
-        value = conj(
-            _fold(g.left, memo, atom, neg, conj, disj),
-            _fold(g.right, memo, atom, neg, conj, disj),
-        )
-    elif kind is Or:
-        value = disj(
-            _fold(g.left, memo, atom, neg, conj, disj),
-            _fold(g.right, memo, atom, neg, conj, disj),
-        )
-    else:
-        raise TypeError(f"not a formula: {g!r}")
-    memo[key] = value
-    return value
+    def foreign(g):
+        if type(g) not in (Atom, Not, And, Or):
+            raise TypeError(f"not a formula: {g!r}")
+
+    return walk(f, visit, foreign)
 
 
 def evaluate(f: Formula, v: Valuation) -> int:
@@ -210,8 +249,9 @@ def build(text: str, tokens: list[str], atom, neg, conj, disj, iff):
     as its operand is complete, and a ")" applies every operator back to
     its "(". Both the open "(" and "~" and the level of every value
     built are held to ``MAX_DEPTH``: the first bounds the nesting of
-    the text, the second every later walk of the tree (a left fold
-    ``p & p & ...`` is deep without any nesting).
+    the text, the second the tree that record ``==``, ``hash`` and
+    ``repr`` recurse through (a left fold ``p & p & ...`` is deep
+    without any nesting).
 
     Raises :class:`ParseError` on malformed input and on input nested
     deeper than ``MAX_DEPTH``, at the token where it is found.

@@ -31,7 +31,7 @@ from typing import Any, Callable, NoReturn, Optional
 
 from ._record import FrozenInstanceError
 from .errors import InvalidInterpretation, ParseError, ResourceLimit
-from .formula import MAX_DEPTH
+from .formula import MAX_DEPTH, walk as fold
 from .propclass import (
     CONTRADICTION,
     DEFAULT_ATOM_CAP,
@@ -149,49 +149,6 @@ def _forget(entry: _Entry) -> None:
 
 
 Justification = Optional[frozenset[ProofNode]]
-
-
-def fold(
-    r: ProofNode,
-    visit: Callable[[ProofNode, Callable[[ProofNode], Any]], Any],
-    known: Optional[Callable[[ProofNode], Any]] = None,
-) -> Any:
-    """Evaluate ``visit(node, value)`` bottom-up over ``r``, where
-    ``value(child)`` is the result already computed for a child.
-
-    Each distinct node is visited once per call, keyed on its identity,
-    on a stack of its own: a reading justifies each step by every step
-    before it, so a built proof shares its subtrees and is as deep as
-    its deduction is long. With ``known``, a node for which
-    ``known(node)`` is not None takes that result, and the walk does not
-    enter it."""
-    if known is not None and (result := known(r)) is not None:
-        return result
-    memo: dict[int, Any] = {}
-
-    def value(node: ProofNode) -> Any:
-        return memo[id(node)]
-
-    stack = [(r, False)]
-    while stack:
-        node, ready = stack.pop()
-        key = id(node)
-        if ready:
-            memo[key] = visit(node, value)
-        elif key in memo:
-            continue
-        elif node.children is None:
-            memo[key] = visit(node, value)
-        else:
-            stack.append((node, True))
-            for c in node.children:
-                if id(c) in memo:
-                    continue
-                if known is not None and (result := known(c)) is not None:
-                    memo[id(c)] = result
-                else:
-                    stack.append((c, False))
-    return memo[id(r)]
 
 
 def canonical_serialize(r: ProofNode) -> str:

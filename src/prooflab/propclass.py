@@ -25,7 +25,7 @@ from functools import lru_cache, partial, reduce
 from operator import and_, or_, xor
 from typing import Iterable, Sequence
 
-from ._record import record
+from ._record import _frozen_delattr, _frozen_setattr
 from .errors import ParseError, ResourceLimit
 from .formula import ATOM_RE, And, Atom, Formula, Not, Or, Valuation, atoms_of, build, fold, tokenize
 
@@ -33,7 +33,6 @@ DEFAULT_ATOM_CAP = 16
 MAX_ATOM_CAP = 24
 
 
-@record
 class PropClass:
     """An equivalence class of formulas as an essential-support table.
 
@@ -45,8 +44,11 @@ class PropClass:
     bits: int
 
     # every cache and intern key hashes classes, so the hash is stored;
-    # its value is the hash of the field tuple, as for every record
+    # its value is the hash of the field tuple, as a record's is
     __slots__ = ("support", "bits", "_hash")
+    # frozen as a record is; the class defines a record's other methods
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
     def __init__(self, support: tuple[str, ...], table: tuple[int, ...]):
         _check_shape(support, len(table))

@@ -19,8 +19,10 @@ from prooflab import (
     level,
     parse,
     render,
+    representative,
 )
 from prooflab.formula import MAX_DEPTH
+from prooflab.proof import pretty_class
 
 from _oracles import (
     all_assignments,
@@ -202,6 +204,20 @@ def test_evaluate_reads_each_atom_once(monkeypatch):
     # one false operand makes the whole chain false
     assert evaluate(f, Valuation({"x07": 0}, 1)) == 0
     assert len(reads) == 40
+
+
+def test_walks_of_a_representative_deeper_than_the_recursion_limit():
+    # a left fold of one "|" per minterm, 1,023 of them, over ten atoms
+    names = [f"x{i}" for i in range(10)]
+    c = canonicalize_text(" | ".join(names))
+    f = representative(c)
+    assert level(f) == 1032
+    assert atoms_of(f) == set(names)
+    assert canonicalize(f) == c
+    for assign in ({}, {"x0": 1}, {"x9": 1}, {"x3": 1, "x7": 1}):
+        assert evaluate(f, Valuation(assign)) == (1 if assign else 0)
+    assert evaluate(f, Valuation({}, 1)) == 1
+    assert render(f) == pretty_class(c)
 
 
 def test_fold_rejects_foreign_nodes():

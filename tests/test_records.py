@@ -249,3 +249,22 @@ def test_package_imports_at_module_level_only():
                 assert id(node) in top, f"{path.name}:{node.lineno}: deferred import"
                 names = [alias.name for alias in node.names] + [getattr(node, "module", None)]
                 assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
+
+
+def test_no_function_calls_itself_by_name():
+    # direct self-calls by bare name only; mutual recursion, method calls
+    # and the record ==, hash and repr are not seen here, and the deep
+    # walks are checked by running them (test_formula). A walk that
+    # recursed once per level would fail on a formula built in code,
+    # which has no depth bound; the two column builders recurse once per
+    # atom, at most MAX_ATOM_CAP (24) deep
+    package = Path(prooflab.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == fn.name:
+                        found.add(f"{path.stem}.{fn.name}")
+    assert sorted(found) == ["propclass._columns", "propclass._small_columns"]
