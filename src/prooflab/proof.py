@@ -6,7 +6,10 @@ unordered set of child nodes. Child sets follow set semantics: order
 and duplicates cannot be observed. The canonical serialization sorts
 child serializations as byte strings, which makes string equality of
 serializations coincide with structural equality of trees and turns
-the digest into a complete invariant of essential equality.
+the digest into a complete invariant of essential equality. Each
+format (this text, a pretty tree and its DNF classes) is one function
+over an algebra: ``TEXT`` writes it and ``LENGTH`` counts it without
+writing it, so every writer measures exactly the text it then builds.
 
 Nodes are hash-consed (Ershov 1958; Filliâtre and Conchon, "Type-safe
 modular hash-consing", 2006): ``ProofNode(conclusion, children)``
@@ -27,13 +30,13 @@ import hashlib
 import re
 import weakref
 from operator import attrgetter, is_
+from types import SimpleNamespace
 from typing import Any, Callable, NoReturn, Optional
 
 from ._record import FrozenInstanceError
 from .errors import InvalidInterpretation, ParseError, ResourceLimit
 from .formula import MAX_DEPTH, walk as fold
 from .propclass import (
-    CONTRADICTION,
     DEFAULT_ATOM_CAP,
     PropClass,
     _columns,
@@ -154,18 +157,11 @@ Justification = Optional[frozenset[ProofNode]]
 def canonical_serialize(r: ProofNode) -> str:
     """Order- and duplicate-insensitive text form of the tree; built
     once per distinct node and kept on it."""
-    return fold(r, _serialize, _text_of)
-
-
-_text_of = attrgetter("_text")
+    return fold(r, _serialize, attrgetter("_text"))
 
 
 def _serialize(node: ProofNode, value: Callable[[ProofNode], str]) -> str:
-    if node.children is None:
-        just = "{0}"
-    else:
-        just = "{%s}" % ",".join(sorted(map(value, node.children)))
-    text = "{%s,%s}" % (node.conclusion.text(), just)
+    text = _canonical(TEXT, node, value)
     _set_text(node, text)
     return text
 
@@ -427,32 +423,69 @@ def _node_error(text: str, i: int, depth: int) -> NoReturn:
     raise ParseError("expected a justification", i + 1)
 
 
-# --- pretty rendering ------------------------------------------------------
+# --- output formats ------------------------------------------------------
+
+
+def _rows(c: PropClass, literals: list[tuple[str, str]], conj: str, disj: str) -> str:
+    """The true rows of ``c`` joined by ``disj``, each its literals joined
+    by ``conj``: atom j's pair gives the first where the row sets it to 0."""
+    n = len(literals)
+    return disj.join(
+        conj.join(lit[m >> (n - 1 - j) & 1] for j, lit in enumerate(literals))
+        for m in range(1 << n)
+        if c.bits >> m & 1
+    )
+
+
+def _rows_length(c: PropClass, literals: list[tuple[str, str]], conj: str, disj: str) -> int:
+    """The length of :func:`_rows`, from the true rows that set each atom to 1."""
+    rows = c.bits.bit_count()
+    chars = rows * (len(literals) - 1) * len(conj) + (rows - 1) * len(disj)
+    for (neg, pos), col in zip(literals, reversed(_columns(len(literals)))):
+        ones = (c.bits & col).bit_count()
+        chars += ones * len(pos) + (rows - ones) * len(neg)
+    return chars
+
+
+_INDENT = "  "
+TEXT = SimpleNamespace(literal=str, join=str.join, table=PropClass.text, rows=_rows)
+LENGTH = SimpleNamespace(
+    literal=len,
+    join=lambda sep, parts: sum(parts) + len(sep) * (len(parts) - 1),
+    table=PropClass.text_length,
+    rows=_rows_length,
+)
+
+
+def _canonical(alg: SimpleNamespace, node: ProofNode, value: Callable[[ProofNode], Any]) -> Any:
+    """``{class,{0}}``, or ``{class,{child,child,...}}`` with the child
+    texts ascending (sorted lengths keep their sum)."""
+    kids = node.children
+    just = alg.literal("0") if kids is None else alg.join(",", sorted(map(value, kids)))
+    table = alg.table(node.conclusion)
+    return alg.join("", [alg.literal("{"), table, alg.literal(",{"), just, alg.literal("}}")])
+
+
+def _dnf(alg: SimpleNamespace, c: PropClass) -> Any:
+    """``render(representative(c))``, joined minterm by minterm rather
+    than walked down the fold of one ``|`` per minterm."""
+    if not c.support:
+        return alg.literal("1" if c.bits else "0")
+    return alg.rows(c, [("~" + name, name) for name in c.support], " & ", " | ")
+
+
+def _pretty_line(alg: SimpleNamespace, node: ProofNode, depth: int = 0) -> Any:
+    """``- class``, indented once per level, marked when a premise."""
+    line = [alg.literal(_INDENT * depth), alg.literal("- "), _dnf(alg, node.conclusion)]
+    return alg.join("", [*line, alg.literal("  [premise]" if node.is_premise else "")])
 
 
 def pretty_class(c: PropClass) -> str:
     """Full-DNF rendering of a conclusion; constants print as 1 and 0.
     One longer than ``MAX_PROOF_TEXT`` with the newline a writer ends it
     with raises :class:`ResourceLimit` before any of it is built."""
-    require_budget("pretty class", _pretty_class_length(c) + 1)
-    return _dnf_text(c)
-
-
-def _dnf_text(c: PropClass) -> str:
-    """``render(representative(c))``, joined minterm by minterm rather
-    than walked down the fold of one ``|`` per minterm; unmeasured."""
-    if not c.support:
-        return "1" if c != CONTRADICTION else "0"
-    n = len(c.support)
-    literals = [(f"~{name}", name) for name in c.support]
-    return " | ".join(
-        " & ".join(lit[m >> (n - 1 - j) & 1] for j, lit in enumerate(literals))
-        for m in range(1 << n)
-        if c.bits >> m & 1
-    )
-
-
-_PREMISE_MARK = "  [premise]"
+    require_budget("pretty class", _dnf(LENGTH, c) + 1)
+    return _dnf(TEXT, c)
 
 
 def pretty_proof(r: ProofNode) -> str:
@@ -460,69 +493,41 @@ def pretty_proof(r: ProofNode) -> str:
     canonical order. This text with its final newline, and then the
     canonical text that orders the children, are refused as in
     :func:`pretty_class`; the walk keeps its own stack."""
-    require_budget("pretty proof", text_length(r, pretty=True) + 1)
+    require_budget("pretty proof", pretty_length(r) + 1)
     require_budget("canonical proof", text_length(r))
     lines: list[str] = []
     stack = [(r, 0)]
     while stack:
         node, depth = stack.pop()
-        marker = _PREMISE_MARK if node.is_premise else ""
-        lines.append("  " * depth + "- " + _dnf_text(node.conclusion) + marker)
+        lines.append(_pretty_line(TEXT, node, depth))
         # distinct children have distinct texts: pushed descending, popped ascending
         kids = sorted(node.children or (), key=canonical_serialize, reverse=True)
         stack.extend((c, depth + 1) for c in kids)
     return "\n".join(lines)
 
 
-# --- text lengths without the text -----------------------------------------
-
-
-def _pretty_class_length(c: PropClass) -> int:
-    """``len(pretty_class(c))``: each true row prints one literal per
-    support atom, with a '~' on the atoms the row sets to 0."""
-    n = len(c.support)
-    if not n:
-        return 1
-    rows = c.bits.bit_count()
-    ones = sum((c.bits & col).bit_count() for col in _columns(n))
-    names = sum(map(len, c.support))
-    return rows * (names + n + 3 * (n - 1)) - ones + 3 * (rows - 1)
-
-
-def _canonical_measure(node: ProofNode, kids: list[int]) -> int:
-    """Length of ``{class,{0}}`` or ``{class,{child,child,...}}``."""
-    just = 3 if node.children is None else sum(kids) + len(kids) + 1
-    return node.conclusion.text_length() + 3 + just
-
-
-def _pretty_measure(node: ProofNode, kids: list[tuple[int, int]]) -> tuple[int, int]:
-    """(lines, characters without newlines) of the subtree printed at
-    depth 0; one level deeper indents each of its lines by two."""
-    mark = _PREMISE_MARK if node.is_premise else ""
-    chars = len("- ") + _pretty_class_length(node.conclusion) + len(mark)
-    return 1 + sum(n for n, _ in kids), chars + sum(k + 2 * n for n, k in kids)
-
-
-def _held_length(node: ProofNode) -> Optional[int]:
-    """The length of the text a node already holds, else None."""
-    return None if node._text is None else len(node._text)
-
-
-def text_length(r: ProofNode, pretty: bool = False) -> int:
-    """``len(canonical_serialize(r))``, or ``len(pretty_proof(r))`` with
-    ``pretty``, without building either text.
-
-    Each distinct node is measured once, from the measures of its
-    children, so a built proof costs O(nodes + child links) however
-    long its text. A node that holds its canonical text, as a parsed
-    one does, measures as that text, and the walk stops there."""
-    measure = _pretty_measure if pretty else _canonical_measure
-    total = fold(
+def text_length(r: ProofNode) -> int:
+    """``len(canonical_serialize(r))``, without building the text: each
+    distinct node is measured once, from its children's measures, so a
+    built proof costs O(nodes + child links) however long its text. A
+    node that holds its text, as a parsed one does, measures as that
+    text, and the walk stops there."""
+    return fold(
         r,
-        lambda node, value: measure(node, [value(c) for c in node.children or ()]),
-        None if pretty else _held_length,
+        lambda node, value: _canonical(LENGTH, node, value),
+        lambda node: None if node._text is None else len(node._text),
     )
-    if pretty:
-        lines, chars = total
-        return chars + lines - 1
-    return total
+
+
+def _pretty_measure(node: ProofNode, value) -> tuple[int, int]:
+    """(lines, characters without newlines) of the subtree printed at
+    depth 0; one level deeper indents each of its lines once more."""
+    kids = [value(c) for c in node.children or ()]
+    chars = _pretty_line(LENGTH, node) + sum(k + len(_INDENT) * n for n, k in kids)
+    return 1 + sum(n for n, _ in kids), chars
+
+
+def pretty_length(r: ProofNode) -> int:
+    """``len(pretty_proof(r))``, without building the text."""
+    lines, chars = fold(r, _pretty_measure)
+    return chars + lines - 1

@@ -188,7 +188,7 @@ def test_cli_parse_pretty_checks_the_text_budget_before_building_text(capsys, mo
     def no_text(*args, **kwargs):
         raise AssertionError("class text built over the budget")
 
-    monkeypatch.setattr("prooflab.proof._dnf_text", no_text)
+    monkeypatch.setattr("prooflab.proof.TEXT.rows", no_text)
     code, out, err = run_cli(capsys, "parse", formula, "--format", "pretty", "--atom-cap", "18")
     assert (code, out) == (1, "")
     assert err == (
@@ -574,7 +574,7 @@ def test_cli_prove_checks_the_text_budget_before_building_text(
         raise AssertionError("proof text built over the budget")
 
     for name in ("prooflab.proof.canonical_serialize", "prooflab.files.canonical_serialize",
-                 "prooflab.proof._dnf_text"):
+                 "prooflab.proof.TEXT.rows"):
         monkeypatch.setattr(name, no_text)
     # twice: building a proof equal to one built before in the process
     # must not compare the two node by node, as trees of 2**199 paths
@@ -646,7 +646,7 @@ def _no_proof_text(monkeypatch):
     def no_text(*args, **kwargs):
         raise AssertionError("proof text built over the budget")
 
-    for name in ("prooflab.files.canonical_serialize", "prooflab.proof._dnf_text"):
+    for name in ("prooflab.files.canonical_serialize", "prooflab.proof.TEXT.rows"):
         monkeypatch.setattr(name, no_text)
 
 

@@ -45,9 +45,11 @@ from prooflab.files import PROOF_FORMAT_LINE, proof_file_text, read_proof_text, 
 from prooflab.formula import MAX_DEPTH
 from prooflab.proof import (
     _NODES,
-    _pretty_class_length,
+    LENGTH,
+    _dnf,
     fold,
     pretty_class,
+    pretty_length,
     pretty_proof,
     text_length,
 )
@@ -708,7 +710,7 @@ def test_pretty_proof_of_a_1500_step_deduction():
     assert text_length(r) == len(canonical_serialize(r)) == 22_497
     rows = ["  " * k + "- ~p & q | p & ~q | p & q" for k in range(1499)]
     assert pretty_proof(r) == "\n".join(rows + ["  " * 1499 + "- p  [premise]"])
-    assert text_length(r, pretty=True) == len(pretty_proof(r))
+    assert pretty_length(r) == len(pretty_proof(r))
 
 
 def _no_text_builders(monkeypatch):
@@ -716,7 +718,7 @@ def _no_text_builders(monkeypatch):
         raise AssertionError("text built over the budget")
 
     for name in ("prooflab.proof.canonical_serialize", "prooflab.files.canonical_serialize",
-                 "prooflab.proof._dnf_text"):
+                 "prooflab.proof.TEXT.rows"):
         monkeypatch.setattr(name, no_text)
 
 
@@ -734,7 +736,7 @@ def test_each_writer_refuses_its_text_before_building_it(monkeypatch, tmp_path):
         cases += [
             (lambda r=r: proof_file_text(r), f"canonical proof text of {text}"),
             (lambda r=r: write_proof_file(str(output), r), f"canonical proof text of {text}"),
-            (lambda r=r: pretty_proof(r), f"pretty proof text of {text_length(r, True) + 1}"),
+            (lambda r=r: pretty_proof(r), f"pretty proof text of {pretty_length(r) + 1}"),
         ]
     for write, message in cases:
         with pytest.raises(ResourceLimit) as exc:
@@ -750,7 +752,7 @@ def test_pretty_proof_checks_the_canonical_text_it_sorts_by(monkeypatch):
     conjunctions = [" & ".join("~" * (i == j) + n for j, n in enumerate(names)) for i in range(20)]
     kids = [ProofNode(canonicalize(parse(text), 20)) for text in conjunctions]
     r = ProofNode(cls("p"), frozenset(kids))
-    assert text_length(r, pretty=True) < 5000
+    assert pretty_length(r) < 5000
     _no_text_builders(monkeypatch)
     with pytest.raises(ResourceLimit) as exc:
         pretty_proof(r)
@@ -771,14 +773,15 @@ def test_pretty_class_is_the_rendered_representative():
     for c in all_classes(["p", "q", "r"]):
         expected = "1" if c == TAUTOLOGY else "0" if not c.support else render(representative(c))
         assert pretty_class(c) == expected
-        assert _pretty_class_length(c) == len(expected)
+        assert _dnf(LENGTH, c) == len(expected)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_text_length_is_the_length_of_the_written_text(seed):
-    # built proofs share their subtrees, parsed ones repeat equal
-    # subtrees as separate objects, and add and replace rebuild both
+    # built proofs share their subtrees; nodes are interned, so parsing
+    # a proof's canonical text gives that proof back, one whose every
+    # node already holds its text; add and replace rebuild nodes of both
     rng = random.Random(seed)
     atoms = ["p", "q", "x01", "a_1"]
     base = frozenset(cls(rng.choice(atoms)) for _ in range(rng.randint(0, 2)))
@@ -793,7 +796,7 @@ def test_text_length_is_the_length_of_the_written_text(seed):
         proofs.append(replace_subproof(built, built.conclusion, donor, sp))
     for r in proofs:
         assert len(PROOF_FORMAT_LINE) + 2 + text_length(r) == len(proof_file_text(r))
-        assert text_length(r, pretty=True) + 1 == len(pretty_proof(r) + "\n")
+        assert pretty_length(r) + 1 == len(pretty_proof(r) + "\n")
 
 
 def _not_member_message(f, *args):
@@ -807,8 +810,10 @@ def _not_member_message(f, *args):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_folds_match_tree_walks(seed):
-    # the same input kinds as the length test, plus a tautology node
-    # with children, which normalize turns into a premise
+    # a built proof, a proof whose every node already holds its text
+    # (nodes are interned, so parsing its canonical text gives it back),
+    # a sum, a replacement, and a tautology node with children, which
+    # normalize turns into a premise
     rng = random.Random(seed)
     atoms = ["p", "q", "x01"]
     base = frozenset(cls(rng.choice(atoms)) for _ in range(rng.randint(0, 2)))
