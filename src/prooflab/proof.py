@@ -272,7 +272,7 @@ def _assemble(d: Deduction, phi: Interpretation) -> ProofNode:
         if v == 0 or is_tautology(d.step(u)):
             nodes.append(ProofNode(d.step(u)))
         else:
-            nodes.append(ProofNode(d.step(u), frozenset(nodes[h - 1] for h in sorted(v))))
+            nodes.append(ProofNode(d.step(u), frozenset(nodes[h - 1] for h in v)))
     return nodes[-1]
 
 
@@ -315,19 +315,20 @@ def parse_proof(text: str) -> ProofNode:
     One left-to-right scan with an explicit stack of open nodes; each
     node is interned as it closes. A node whose input span is canonical
     (a premise's always is, a justified node's when its children's are
-    and increase strictly) keeps it as its text. No node text is a
-    proper prefix of another, so once a justified node has closed
-    twice, its span is kept under its conclusion and first child, and a
-    later node with both whose text starts with that span is skipped to
-    its end. A skip counts only within ``MAX_DEPTH``, so every depth
+    and increase strictly) keeps it as its text, and a justified one is
+    then kept under its conclusion and first child. No node text is a
+    proper prefix of another, so a later node with both whose input
+    starts with the kept node's text is that node, and is skipped to
+    its end; any other node, a non-canonical repeat among them, is read
+    in full. A skip counts only within ``MAX_DEPTH``, so every depth
     error keeps its position. Without a justified tautology node, every
     node is its own normal form and is marked so."""
     head = _NODE_HEAD.match
     leaves: dict[str, ProofNode] = {}  # class text -> premise node
-    made: dict[tuple[PropClass, frozenset[ProofNode]], ProofNode] = {}
-    # (conclusion text, first child) -> (span, node, height, whether the
-    # span is canonical) of the last repeat closed
-    repeats: dict[tuple[str, ProofNode], tuple[str, ProofNode, int, bool]] = {}
+    closed: list[ProofNode] = []  # the justified nodes, as each closes
+    # (conclusion text, first child) -> (node, height) of the last node
+    # closed whose span was canonical
+    kept: dict[tuple[str, ProofNode], tuple[ProofNode, int]] = {}
     # [start, conclusion text, conclusion, children, last child text
     # while the span can be canonical else None, height]
     open_nodes: list[list] = []
@@ -355,15 +356,14 @@ def parse_proof(text: str) -> ProofNode:
             kids = top[3]
             kids.append(node)
             if len(kids) == 1:
-                kept = repeats.get((top[1], node))
-                if kept is not None:
-                    span, seen, seen_height, seen_canonical = kept
-                    start = top[0]
+                seen = kept.get((top[1], node))
+                if seen is not None:
                     depth = len(open_nodes) - 1
-                    if depth + seen_height <= MAX_DEPTH and text.startswith(span, start):
+                    if depth + seen[1] <= MAX_DEPTH and text.startswith(seen[0]._text, top[0]):
                         open_nodes.pop()
-                        node, height, canonical = seen, seen_height, seen_canonical
-                        i = start + len(span)
+                        node, height = seen
+                        canonical = True
+                        i = top[0] + len(node._text)
                         continue
             last = top[4]
             if last is not None:
@@ -380,22 +380,18 @@ def parse_proof(text: str) -> ProofNode:
                 raise ParseError("expected '}' closing the node", i + 1)
             i += 2
             start, conclusion_text, conclusion, kids, last, height = open_nodes.pop()
+            node = ProofNode(conclusion, frozenset(kids))
+            closed.append(node)
             canonical = last is not None
-            key = (conclusion, frozenset(kids))
-            node = made.get(key)
-            repeat = node is not None
-            if not repeat:
-                node = made[key] = ProofNode(*key)
-            if canonical and node._text is None:
-                _set_text(node, text[start:i])
-            if repeat:
-                span = node._text if canonical else text[start:i]
-                repeats[conclusion_text, kids[0]] = (span, node, height, canonical)
+            if canonical:
+                if node._text is None:
+                    _set_text(node, text[start:i])
+                kept[conclusion_text, kids[0]] = (node, height)
         else:
             if text[i:].strip():
                 raise ParseError("trailing data after proof", i)
-            if not any(is_tautology(key[0]) for key in made):
-                for n in [*made.values(), *leaves.values()]:
+            if not any(is_tautology(n.conclusion) for n in closed):
+                for n in [*closed, *leaves.values()]:
                     if n._normal is None:
                         _set_normal(n, _NORMAL)
             return node

@@ -77,8 +77,10 @@ def lindenbaum_extend(
     """Deterministically complete ``sigma`` to a maximal consistent extension.
 
     Raises :class:`Inconsistent` when the conjunction of ``sigma`` has no
-    satisfying assignment.
+    satisfying assignment, and ``ValueError`` unless ``default_bit`` is 0 or 1.
     """
+    if default_bit not in (0, 1):
+        raise ValueError(f"default bit must be 0 or 1, not {default_bit!r}")
     base = frozenset(sigma)
     atoms = sorted({a for c in base for a in c.support})
     assign = dict(zip(atoms, _smallest_assignment(atoms, list(base))))

@@ -53,6 +53,7 @@ from prooflab.proof import (
     pretty_proof,
     text_length,
 )
+from prooflab.propclass import class_from_text
 from prooflab.surgery import _require_members, _rewrite_at
 
 from _oracles import (
@@ -607,6 +608,25 @@ def test_reader_skips_a_repeat_only_within_the_depth_limit():
             else:
                 with pytest.raises(ParseError, match="nested deeper"):
                     parse_proof(text)
+
+
+def test_reader_skips_repeats(monkeypatch):
+    # the 16-step chain spells out 2**16 - 1 nodes and holds 16 distinct
+    # ones; the reader decodes one class text per node it opens or per
+    # new premise text, so a reader that walked every repeat would decode
+    # 32,768 texts here, and one that skips them decodes a few hundred
+    r = _chain_proof(16)
+    text = canonical_serialize(r)
+    assert len(text) == 458_751
+    calls = []
+
+    def counting(class_text):
+        calls.append(class_text)
+        return class_from_text(class_text)
+
+    monkeypatch.setattr("prooflab.proof.class_from_text", counting)
+    assert parse_proof(text) is r
+    assert len(calls) <= 1000
 
 
 def test_equal_nodes_are_one_object():

@@ -65,6 +65,16 @@ def test_extend_inconsistent():
         lindenbaum_extend({cls("p & ~p")}, 0)
 
 
+@pytest.mark.parametrize("bit", [2, -1, None])
+def test_extend_refuses_a_default_bit_other_than_0_or_1(bit):
+    # a default of 2 would give an "extension" holding neither p nor ~p,
+    # and -1 a negative shift at the first membership test; the bit is
+    # checked before the base, so an inconsistent base gives this error too
+    for base in ([], [cls("p"), cls("~p")]):
+        with pytest.raises(ValueError, match=f"default bit must be 0 or 1, not {bit!r}"):
+            lindenbaum_extend(base, bit)
+
+
 def test_extend_empty_base(sp_empty):
     assert sp_empty.member(TAUTOLOGY)
     assert not sp_empty.member(cls("p"))
