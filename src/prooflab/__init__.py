@@ -3,6 +3,10 @@
 Canonical Boolean-function classes, a restricted deduction calculus
 with machine-induced readings, set-tree proof objects, and a module of
 proofs over a maximal consistent extension of a finite base set.
+
+The paper's reference definitions (formula trees, Ω, γ, checked
+readings) are in :mod:`prooflab.spec`, which this package does not
+import: ``from prooflab.spec import parse``.
 """
 
 from .errors import (
@@ -18,7 +22,7 @@ from .errors import (
     ProofLabError,
     ResourceLimit,
 )
-from .formula import And, Atom, Formula, Not, Or, Valuation, atoms_of, evaluate, level, parse, render
+from .formula import Valuation
 from .propclass import (
     CONTRADICTION,
     DEFAULT_ATOM_CAP,
@@ -26,8 +30,6 @@ from .propclass import (
     PropClass,
     all_classes,
     big_and,
-    big_or,
-    canonicalize,
     canonicalize_text,
     class_and,
     class_from_text,
@@ -37,7 +39,6 @@ from .propclass import (
     entails,
     evaluate_class,
     is_tautology,
-    representative,
 )
 from .sigma import (
     FORMAL_ONE,
@@ -59,23 +60,15 @@ from .deduction import (
     check_deduction,
     check_rule,
     classical_rules_report,
-    gamma,
     induce_interpretation,
-    nth_prime,
-    omega,
-    validate_interpretation,
 )
 from .proof import (
     ProofNode,
-    build_proof,
     canonical_serialize,
     digest,
     digest_hex,
-    essentially_equal,
-    less_forced,
     normalize,
     parse_proof,
-    premises,
     proof_eq,
     prove,
 )
@@ -83,7 +76,6 @@ from .module_algebra import (
     add,
     check_module_axioms,
     delta_merge,
-    embed_premise,
     neutral_proof,
     scalar_mul,
 )

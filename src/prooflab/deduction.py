@@ -6,9 +6,8 @@ A step is justified by membership in the extension, or by the
 conjunction or disjunction of some earlier steps reaching it in the
 Boolean order. Checks and readings need only the prefix conjunctions
 ``AND(step 1..k)``, so they cost O(n²) class combines and have no step
-cap; :func:`omega` and :func:`gamma` keep the subset definitions as the
-reference. :func:`omega` enumerates subsets, so a step with more than
-``max_prior`` predecessors raises :class:`ResourceLimit` there.
+cap; ``spec.omega`` and ``spec.gamma`` keep the subset definitions as
+the reference the tests check them against.
 
 Because the extension is deductively closed, the original membership
 clauses (literal membership of the base set, or one-step derivability
@@ -19,20 +18,18 @@ against the base set alone.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from itertools import accumulate, product
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from ._record import record
-from .errors import InvalidDeduction, ResourceLimit
+from .errors import InvalidDeduction
 from .propclass import (
     DEFAULT_ATOM_CAP,
     TAUTOLOGY,
     PropClass,
     all_classes,
     big_and,
-    big_or,
     class_and,
     class_from_text,
     class_not,
@@ -40,8 +37,6 @@ from .propclass import (
     entails,
 )
 from .sigma import LawCheck, LawReport, SigmaPrime
-
-DEFAULT_MAX_PRIOR = 20
 
 
 @record
@@ -120,19 +115,6 @@ class DeductionReport:
         return out
 
 
-def _subsets(upto: int) -> Iterable[frozenset[int]]:
-    """All nonempty subsets of {1..upto}, in ascending bitmask order."""
-    for mask in range(1, 1 << upto):
-        yield frozenset(j + 1 for j in range(upto) if mask >> j & 1)
-
-
-def _enumeration_guard(prior: int, max_prior: int) -> None:
-    if prior > max_prior:
-        raise ResourceLimit(
-            f"{prior} prior steps exceed the enumeration cap of {max_prior}"
-        )
-
-
 def _base_tag(d: Deduction, base: list[PropClass], c: PropClass) -> str | None:
     """``base`` is the base set in class-text order, so the ``entails``
     calls repeat from run to run."""
@@ -174,46 +156,6 @@ def check_deduction(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> Deduction
     return DeductionReport(tuple(reports))
 
 
-def omega(d: Deduction, u: int, max_prior: int = DEFAULT_MAX_PRIOR) -> frozenset[frozenset[int]]:
-    """All nonempty prior index sets whose conjunction or disjunction
-    reaches step ``u`` in the Boolean order."""
-    if not 1 <= u <= len(d):
-        raise ValueError(f"step index {u} out of range")
-    _enumeration_guard(u - 1, max_prior)
-    target = d.step(u)
-    hits = []
-    for h in _subsets(u - 1):
-        parts = [d.step(j) for j in sorted(h)]
-        if entails(big_and(parts), target) or entails(big_or(parts), target):
-            hits.append(h)
-    return frozenset(hits)
-
-
-# --- positional primes ---------------------------------------------------
-
-_PRIMES = [2, 3, 5, 7, 11, 13]
-
-
-def nth_prime(j: int) -> int:
-    """The j-th prime, 1-based: nth_prime(1) == 2."""
-    if j < 1:
-        raise ValueError("prime index must be positive")
-    while len(_PRIMES) < j:
-        candidate = _PRIMES[-1] + 2
-        while any(candidate % p == 0 for p in _PRIMES if p * p <= candidate):
-            candidate += 2
-        _PRIMES.append(candidate)
-    return _PRIMES[j - 1]
-
-
-def gamma(h: Iterable[int]) -> int:
-    """Product of the positional primes of ``h``; exact integer arithmetic."""
-    indices = sorted(h)
-    if not indices:
-        raise ValueError("gamma needs a nonempty index set")
-    return math.prod(nth_prime(j) for j in indices)
-
-
 def induce_interpretation(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> Interpretation:
     """The canonical reading: depth-first from the last step, each visited
     step takes the justifying set with the greatest prime product, and
@@ -238,30 +180,6 @@ def induce_interpretation(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> Int
     return Interpretation(
         {u: frozenset(range(1, u)) if last and hit else 0 for u, hit in enumerate(reached, 1)}
     )
-
-
-def validate_interpretation(
-    d: Deduction, phi: Interpretation, atom_cap: int = DEFAULT_ATOM_CAP
-) -> bool:
-    """Check the reading conditions: premises must belong to the extension
-    and every index set must reach its step by conjunction or disjunction."""
-    if set(phi.assignment) != set(range(1, len(d) + 1)):
-        return False
-    for i in range(1, len(d) + 1):
-        v = phi.assignment[i]
-        if v == 0:
-            if not d.context.member(d.step(i)):
-                return False
-            continue
-        if not v or not all(1 <= h < i for h in v):
-            return False
-        parts = [d.step(j) for j in sorted(v)]
-        if not (
-            entails(big_and(parts, atom_cap), d.step(i))
-            or entails(big_or(parts, atom_cap), d.step(i))
-        ):
-            return False
-    return True
 
 
 # --- the classical rule table -------------------------------------------

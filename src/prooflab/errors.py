@@ -32,8 +32,8 @@ class NotMember(ProofLabError):
 
 
 class ResourceLimit(ProofLabError):
-    """A size cap (atom support, the prior steps ``omega`` enumerates, or
-    the length of a proof text) was exceeded."""
+    """A size cap (atom support, the prior steps ``spec.omega``
+    enumerates, or the length of a proof text) was exceeded."""
 
 
 class InvalidDeduction(ProofLabError):

@@ -59,7 +59,9 @@ def read_deduction_file(
     premises_path = None
     if lines and lines[0].startswith("premises:"):
         premises_path = lines[0].split(":", 1)[1].strip()
-        premises_path = os.path.join(os.path.dirname(path), premises_path)
+        # an empty directive names the unreadable file '', not the directory
+        if premises_path:
+            premises_path = os.path.join(os.path.dirname(path), premises_path)
         lines = lines[1:]
     if not lines:
         raise ParseError(f"deduction file {path!r} has no steps")

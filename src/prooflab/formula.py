@@ -1,4 +1,4 @@
-"""Formula ASTs over {~, &, |}, their grammar, and Boolean valuations.
+"""The formula grammar, the one DAG walker, and Boolean valuations.
 
 Grammar (whitespace insignificant)::
 
@@ -13,27 +13,23 @@ One loop, :func:`build`, reads every formula: an operator-precedence
 loop with explicit operand and operator stacks, which takes each binary
 operator's binding strength from an operator table. It raises every
 parse error itself, at the token where it is found.
-``<->`` is parser sugar only: ``a <-> b`` desugars to
-``(~a | b) & (~b | a)``, so the AST carries exactly the three
+``<->`` is parser sugar only: ``a <-> b`` is built as
+``(~a | b) & (~b | a)``, so every algebra has exactly the three
 connectives ~, &, |.  Binary operators associate to the left. A node
 adds one level to the deeper of its operands, and a ``<->`` node three,
 those of its desugared form.
 
-The one grammar builds into any algebra: :func:`parse` builds the AST,
-and ``propclass.canonicalize_text`` builds truth tables with no tree in
-between. Since ``<->`` shares its operands, a parsed formula is a DAG;
-every walk of one is a call to :func:`fold`, which evaluates the AST in
-any algebra and visits each shared subtree once on :func:`walk`, the
-stack walker proofs share. ``MAX_DEPTH`` bounds input, and keeps the
-record ``==``, ``hash`` and ``repr``, which recurse, shallow on parsed
-trees.
+The one grammar builds into any algebra: ``propclass.canonicalize_text``
+builds truth tables with no tree in between, and ``spec.parse`` builds
+the reference AST, whose walks run on :func:`walk`, the stack walker
+proofs share. ``MAX_DEPTH`` bounds input, and so keeps the ``==``,
+``hash`` and ``repr`` of a parsed ``spec`` tree, which recurse, shallow.
 """
 
 from __future__ import annotations
 
 import re
-from operator import and_, is_, not_, or_
-from typing import Mapping, Union
+from typing import Mapping
 
 from ._record import record
 from .errors import ParseError
@@ -42,46 +38,9 @@ ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 # The deepest formula or proof the parsers accept, in levels of the
 # tree and in "(" and "~" open at once. It bounds input, and keeps the
-# record ==, hash and repr of a parsed tree, which recurse once per
-# level, far below the interpreter's recursion limit.
+# record ==, hash and repr of a parsed spec tree, which recurse once
+# per level, far below the interpreter's recursion limit.
 MAX_DEPTH = 100
-
-
-@record
-class Atom:
-    name: str
-
-    children = None  # a leaf
-
-    def __post_init__(self):
-        if ATOM_RE.fullmatch(self.name) is None:
-            raise ValueError(f"invalid atom name {self.name!r}")
-
-
-@record
-class Not:
-    child: "Formula"
-
-    children = property(lambda self: (self.child,))
-
-
-@record
-class And:
-    left: "Formula"
-    right: "Formula"
-
-    children = property(lambda self: (self.left, self.right))
-
-
-@record
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-    children = property(lambda self: (self.left, self.right))
-
-
-Formula = Union[Atom, Not, And, Or]
 
 
 @record
@@ -139,61 +98,6 @@ def walk(r, visit, known=None):
     return memo[id(r)]
 
 
-def fold(f: Formula, atom, neg, conj, disj):
-    """The value of ``f`` in the algebra given by one function per node
-    kind: ``atom(name)``, ``neg(x)``, ``conj(x, y)`` and ``disj(x, y)``.
-
-    The AST counterpart of :func:`build`, on :func:`walk`. ``<->``
-    shares its operands, so a parsed formula is a DAG: ``atom`` is
-    called once per distinct name and each node is computed once per
-    call, keyed on its identity (hashing a node hashes its fields, so it
-    would itself walk the tree).
-    Raises ``TypeError`` at a node whose type is not ``Atom``, ``Not``,
-    ``And`` or ``Or``, before its children are read.
-    """
-    names = {}  # each occurrence of an atom is a node of its own
-
-    def visit(g, value):
-        kind = type(g)
-        if kind is Atom:
-            name = g.name
-            if name not in names:
-                names[name] = atom(name)
-            return names[name]
-        if kind is Not:
-            return neg(value(g.child))
-        return (conj if kind is And else disj)(value(g.left), value(g.right))
-
-    def foreign(g):
-        if type(g) not in (Atom, Not, And, Or):
-            raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, visit, foreign)
-
-
-def evaluate(f: Formula, v: Valuation) -> int:
-    """Evaluate ``f`` under ``v`` with the standard Boolean semantics."""
-    return fold(f, v.bit, lambda x: 1 - x, and_, or_)
-
-
-def level(f: Formula) -> int:
-    """Connective nesting depth: atoms sit at level 0."""
-    return fold(f, lambda name: 0, (1).__add__, _above, _above)
-
-
-def _above(x: int, y: int) -> int:
-    return (x if x > y else y) + 1
-
-
-def atoms_of(f: Formula) -> set[str]:
-    """All atom names occurring in ``f``."""
-    names: set[str] = set()
-    # only the calls to names.add count; not_ and is_ are the cheapest
-    # functions of one and two arguments
-    fold(f, names.add, not_, is_, is_)
-    return names
-
-
 # --- parsing -----------------------------------------------------------
 
 # one token per match, whitespace between them; a character that starts
@@ -249,8 +153,8 @@ def build(text: str, tokens: list[str], atom, neg, conj, disj, iff):
     as its operand is complete, and a ")" applies every operator back to
     its "(". Both the open "(" and "~" and the level of every value
     built are held to ``MAX_DEPTH``: the first bounds the nesting of
-    the text, the second the tree that record ``==``, ``hash`` and
-    ``repr`` recurse through (a left fold ``p & p & ...`` is deep
+    the text, the second the ``spec`` tree that record ``==``, ``hash``
+    and ``repr`` recurse through (a left fold ``p & p & ...`` is deep
     without any nesting).
 
     Raises :class:`ParseError` on malformed input and on input nested
@@ -307,40 +211,3 @@ def build(text: str, tokens: list[str], atom, neg, conj, disj, iff):
             if token:
                 _fail(f"expected eof, found {token!r}", text, k)
             return value
-
-
-def _iff_node(a: Formula, b: Formula) -> Formula:
-    return And(Or(Not(a), b), Or(Not(b), a))
-
-
-def parse(text: str) -> Formula:
-    """Parse ``text`` into the unique AST fixed by the precedence rules.
-
-    Raises :class:`ParseError` with the offending position on malformed
-    input, and on input nested deeper than ``MAX_DEPTH``.
-    """
-    return build(text, tokenize(text)[0], Atom, Not, And, Or, _iff_node)
-
-
-# --- printing ----------------------------------------------------------
-
-def _wrap(child: tuple[str, int], parent_prec: int, right_operand: bool) -> str:
-    text, prec = child
-    # Left-associative printing: a same-precedence right operand keeps
-    # its parentheses so the round trip reproduces the tree.
-    if prec < parent_prec or (prec == parent_prec and right_operand):
-        return f"({text})"
-    return text
-
-
-def render(f: Formula) -> str:
-    """Minimal-parentheses text form; ``parse(render(f))`` equals ``f``.
-
-    Each node renders to its text and precedence: | 0, & 1, ~ 2, atom 3."""
-    return fold(
-        f,
-        lambda name: (name, 3),
-        lambda x: ("~" + _wrap(x, 2, False), 2),
-        lambda x, y: (f"{_wrap(x, 1, False)} & {_wrap(y, 1, True)}", 1),
-        lambda x, y: (f"{_wrap(x, 0, False)} | {_wrap(y, 0, True)}", 0),
-    )[0]

@@ -102,12 +102,6 @@ def neutral_proof(sp: SigmaPrime) -> ProofNode:
     return ProofNode(TAUTOLOGY)
 
 
-def embed_premise(sp: SigmaPrime, c: PropClass) -> ProofNode:
-    """The injection of an extension member as a one-node premise proof."""
-    sp.require_member(c)
-    return ProofNode(c)
-
-
 # --- axiom audit -----------------------------------------------------------
 
 

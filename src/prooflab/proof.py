@@ -1,4 +1,4 @@
-"""Set-tree proof objects: construction from interpreted deductions,
+"""Set-tree proof objects: construction from induced readings,
 canonical serialization, digests, and essential equality.
 
 A node is either a premise (no justification) or carries a nonempty
@@ -21,7 +21,8 @@ and normal form at most once and keeps them; a node that no proof
 holds any more leaves the table with its caches.
 
 Normalization rewrites every tautology-concluded node to premise form;
-it is applied to every constructed proof.
+it is applied to every constructed proof. A proof of a caller's own
+reading, which must be checked first, is ``spec.build_proof``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, NoReturn, Optional
 
 from ._record import FrozenInstanceError
-from .errors import InvalidInterpretation, ParseError, ResourceLimit
+from .errors import ParseError, ResourceLimit
 from .formula import MAX_DEPTH, walk as fold
 from .propclass import (
     DEFAULT_ATOM_CAP,
@@ -43,7 +44,7 @@ from .propclass import (
     class_from_text,
     is_tautology,
 )
-from .deduction import Deduction, Interpretation, induce_interpretation, validate_interpretation
+from .deduction import Deduction, Interpretation, induce_interpretation
 
 ProofDigest = bytes
 
@@ -237,23 +238,13 @@ def _normalize(node: ProofNode, value: Callable[[ProofNode], ProofNode]) -> Proo
     return normal
 
 
-def build_proof(
-    d: Deduction, phi: Interpretation, atom_cap: int = DEFAULT_ATOM_CAP
-) -> ProofNode:
-    """The proof tree of an interpreted deduction; a reading that does
-    not interpret ``d`` raises :class:`InvalidInterpretation`."""
-    if not validate_interpretation(d, phi, atom_cap):
-        raise InvalidInterpretation("the assignment does not interpret this deduction")
-    return _assemble(d, phi)
-
-
 def prove(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> ProofNode:
     """The proof tree of ``d`` under its canonical reading.
 
     :func:`induce_interpretation` returns only readings that validate
     (every step it reaches is entailed by the steps before it, and every
     other step is an extension member), so the reading is not checked
-    again as :func:`build_proof` checks a caller's."""
+    again as ``spec.build_proof`` checks a caller's."""
     return _assemble(d, induce_interpretation(d, atom_cap))
 
 
@@ -274,30 +265,6 @@ def _assemble(d: Deduction, phi: Interpretation) -> ProofNode:
         else:
             nodes.append(ProofNode(d.step(u), frozenset(nodes[h - 1] for h in v)))
     return nodes[-1]
-
-
-def essentially_equal(
-    d1: Deduction, phi1: Interpretation, d2: Deduction, phi2: Interpretation
-) -> bool:
-    """Whether two interpreted deductions produce the same proof tree."""
-    return proof_eq(build_proof(d1, phi1), build_proof(d2, phi2))
-
-
-def premises(r: ProofNode) -> frozenset[PropClass]:
-    """Conclusions of all premise-justified nodes in the tree."""
-    out: set[PropClass] = set()
-
-    def visit(node: ProofNode, value) -> None:
-        if node.children is None:
-            out.add(node.conclusion)
-
-    fold(r, visit)
-    return frozenset(out)
-
-
-def less_forced(a: ProofNode, b: ProofNode) -> bool:
-    """Strictly smaller premise set."""
-    return premises(a) < premises(b)
 
 
 # --- canonical-form parsing ----------------------------------------------
@@ -463,8 +430,8 @@ def _canonical(alg: SimpleNamespace, node: ProofNode, value: Callable[[ProofNode
 
 
 def _dnf(alg: SimpleNamespace, c: PropClass) -> Any:
-    """``render(representative(c))``, joined minterm by minterm rather
-    than walked down the fold of one ``|`` per minterm."""
+    """``spec.render(spec.representative(c))``, joined minterm by
+    minterm rather than walked down the fold of one ``|`` per minterm."""
     if not c.support:
         return alg.literal("1" if c.bits else "0")
     return alg.rows(c, [("~" + name, name) for name in c.support], " & ", " | ")

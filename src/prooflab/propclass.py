@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from ._record import _frozen_delattr, _frozen_setattr
 from .errors import ParseError, ResourceLimit
-from .formula import ATOM_RE, And, Atom, Formula, Not, Or, Valuation, atoms_of, build, fold, tokenize
+from .formula import ATOM_RE, Valuation, build, tokenize
 
 DEFAULT_ATOM_CAP = 16
 MAX_ATOM_CAP = 24
@@ -205,21 +205,11 @@ def _pruned(atoms: Sequence[str], t: int) -> PropClass:
     return _make(tuple(reversed(kept)), t)
 
 
-def canonicalize(f: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
-    """The equivalence class of ``f``: full table, inessential atoms dropped."""
-    atoms = sorted(atoms_of(f))
-    n = len(atoms)
-    if n > atom_cap:
-        raise ResourceLimit(f"{n} atoms exceed the support cap of {atom_cap}")
-    full = (1 << (1 << n)) - 1
-    column = dict(zip(atoms, reversed(_columns(n))))
-    return _pruned(atoms, fold(f, column.__getitem__, full.__xor__, and_, or_))
-
-
 def canonicalize_text(text: str, atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
-    """``canonicalize(parse(text), atom_cap)``, built straight from the
-    text: the grammar evaluates each connective on the atoms' columns,
-    with no tree in between.
+    """The class of ``text``, as ``spec.canonicalize(spec.parse(text),
+    atom_cap)`` gives it, built straight from the text: the grammar
+    evaluates each connective on the atoms' columns, with no tree in
+    between.
 
     Malformed input raises :class:`ParseError` before an atom count over
     the cap raises :class:`ResourceLimit`: input over the cap still runs
@@ -285,13 +275,6 @@ def big_and(classes: Iterable[PropClass], atom_cap: int = DEFAULT_ATOM_CAP) -> P
     if not parts:
         raise ValueError("big_and needs a nonempty list")
     return reduce(partial(class_and, atom_cap=atom_cap), parts)
-
-
-def big_or(classes: Iterable[PropClass], atom_cap: int = DEFAULT_ATOM_CAP) -> PropClass:
-    parts = list(classes)
-    if not parts:
-        raise ValueError("big_or needs a nonempty list")
-    return reduce(partial(class_or, atom_cap=atom_cap), parts)
 
 
 def _quantified(c: PropClass, keep: set[str], exists: bool) -> int:
@@ -365,25 +348,3 @@ def class_from_text(text: str) -> PropClass:
     except ValueError as exc:
         raise ParseError(f"non-canonical class text {text!r}: {exc}") from None
     return _make(support, t)
-
-
-def representative(c: PropClass) -> Formula:
-    """A canonical representative formula: full DNF over the support.
-
-    The constant classes have empty support, so they fall back to
-    ``p | ~p`` and ``p & ~p``.
-    """
-    if not c.support:
-        p = Atom("p")
-        return Or(p, Not(p)) if c.bits else And(p, Not(p))
-    n = len(c.support)
-    minterms = []
-    for m in range(1 << n):
-        if not c.bits >> m & 1:
-            continue
-        lits = [
-            Atom(name) if m >> (n - 1 - j) & 1 else Not(Atom(name))
-            for j, name in enumerate(c.support)
-        ]
-        minterms.append(reduce(And, lits))
-    return reduce(Or, minterms)

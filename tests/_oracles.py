@@ -14,9 +14,10 @@ import random
 import re
 from itertools import combinations, product
 
-from prooflab import And, Atom, Deduction, Not, Or, ParseError, ProofNode, PropClass, SigmaPrime
-from prooflab import TAUTOLOGY, render, representative
-from prooflab.formula import MAX_DEPTH, fold
+from prooflab import Deduction, ParseError, ProofNode, PropClass, SigmaPrime
+from prooflab import TAUTOLOGY
+from prooflab.formula import MAX_DEPTH
+from prooflab.spec import And, Atom, Not, Or, fold, render, representative
 
 
 def eval_bool(f, assignment: dict[str, int], default: int = 0) -> int:
@@ -191,7 +192,8 @@ def random_formula(rng: random.Random, atoms: list[str], depth: int = 3):
 
 
 def random_member_class(rng: random.Random, sp: SigmaPrime, atoms: list[str]) -> PropClass:
-    from prooflab import canonicalize, class_not
+    from prooflab import class_not
+    from prooflab.spec import canonicalize
 
     c = canonicalize(random_formula(rng, atoms))
     return c if sp.member(c) else class_not(c)
@@ -202,7 +204,8 @@ def random_valid_deduction(
 ) -> Deduction:
     """Valid by construction: every step is a member or an and/or
     consequence of earlier steps."""
-    from prooflab import big_and, big_or, canonicalize, class_or
+    from prooflab import big_and, class_or
+    from prooflab.spec import big_or, canonicalize
 
     n = rng.randint(1, max_steps)
     steps: list[PropClass] = []

@@ -1,6 +1,7 @@
 import pytest
 
-from prooflab import canonicalize, lindenbaum_extend, parse
+from prooflab import lindenbaum_extend
+from prooflab.spec import canonicalize, parse
 
 
 def classes(*texts):

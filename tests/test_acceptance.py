@@ -20,7 +20,6 @@ from prooflab import (
     add,
     all_classes,
     canonical_serialize,
-    canonicalize,
     check_deduction,
     check_module_axioms,
     check_rule,
@@ -32,18 +31,21 @@ from prooflab import (
     eliminate_subproof,
     extract_subproof,
     find_occurrences,
-    gamma,
     induce_interpretation,
     lindenbaum_extend,
     neutral_proof,
     normalize,
+    proof_eq,
+    replace_subproof,
+    scalar_mul,
+)
+from prooflab.spec import (
+    canonicalize,
+    gamma,
     omega,
     parse,
-    proof_eq,
     render,
-    replace_subproof,
     representative,
-    scalar_mul,
     validate_interpretation,
 )
 from prooflab.cli import run

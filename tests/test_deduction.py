@@ -16,7 +16,6 @@ from prooflab import (
     Interpretation,
     InvalidDeduction,
     ResourceLimit,
-    canonicalize,
     check_deduction,
     check_rule,
     classical_rules_report,
@@ -24,9 +23,12 @@ from prooflab import (
     class_iff,
     class_not,
     class_or,
-    gamma,
     induce_interpretation,
     lindenbaum_extend,
+)
+from prooflab.spec import (
+    canonicalize,
+    gamma,
     nth_prime,
     omega,
     parse,
@@ -220,7 +222,7 @@ def test_check_and_reading_skip_the_reference_spec(sp_p, monkeypatch):
         raise AssertionError("reference spec called on the fast path")
 
     for name in ("_subsets", "omega", "gamma"):
-        monkeypatch.setattr(f"prooflab.deduction.{name}", banned)
+        monkeypatch.setattr(f"prooflab.spec.{name}", banned)
     # the first set in ascending bitmask order: {1,2} for q & r, and {2}
     # (bitmask 2) before {1,2} or {3} for r | t
     report = check_deduction(ded(sp_p, "q", "r", "q & r", "p", "r | t"))

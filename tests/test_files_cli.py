@@ -17,15 +17,14 @@ from prooflab import (
     ParseError,
     ProofNode,
     canonical_serialize,
-    canonicalize,
     class_from_text,
     digest_hex,
     format_path,
     lindenbaum_extend,
-    parse,
     proof_eq,
     replace_subproof,
 )
+from prooflab.spec import canonicalize, parse
 from prooflab import cli
 from prooflab.cli import _build_parser, _table_args, main, run
 from prooflab.files import (
@@ -920,14 +919,18 @@ def test_cli_readers_fold_line_ends_and_keep_a_bom(capsys, tmp_path):
         ["axioms", "--sigma", "", "--atoms", "1", "--samples", "0"],
         ["check", "@d.txt", "--sigma", ""],
         ["check", "d.txt"],
+        ["check", "sub/d.txt"],
     ],
 )
 def test_cli_empty_base_path_is_unreadable(capsys, tmp_path, monkeypatch, argv):
     # an empty --sigma names no file, not no base set, and does not hand
-    # over to the premises directive; nor does an empty directive
+    # over to the premises directive; nor does an empty directive, also
+    # in a deduction file whose path names a directory
     monkeypatch.chdir(tmp_path)
     (tmp_path / "base.txt").write_text("p\n")
     (tmp_path / "d.txt").write_text("premises:\np\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "d.txt").write_text("premises:\np\n")
     (tmp_path / "e.txt").write_text("premises: base.txt\np\n")
     argv = [str(tmp_path / "e.txt") if a == "@d.txt" else a for a in argv]
     error = "error: FileNotFoundError: [Errno 2] No such file or directory: ''\n"

@@ -15,22 +15,20 @@ from prooflab import (
     all_classes,
     big_and,
     canonical_serialize,
-    canonicalize,
     check_module_axioms,
     class_and,
     class_iff,
     class_or,
     delta_merge,
     digest_hex,
-    embed_premise,
     entails,
     lindenbaum_extend,
     neutral_proof,
     normalize,
-    parse,
     proof_eq,
     scalar_mul,
 )
+from prooflab.spec import canonicalize, embed_premise, parse
 
 from prooflab.cli import run
 from prooflab.module_algebra import _RestrictedDomain

@@ -19,24 +19,26 @@ from prooflab import (
     TAUTOLOGY,
     add,
     all_classes,
-    build_proof,
     canonical_serialize,
-    canonicalize,
     class_not,
     digest,
     digest_hex,
-    essentially_equal,
     induce_interpretation,
-    less_forced,
     lindenbaum_extend,
     normalize,
-    parse,
     parse_proof,
-    premises,
     proof_eq,
     prove,
-    render,
     replace_subproof,
+)
+from prooflab.spec import (
+    build_proof,
+    canonicalize,
+    essentially_equal,
+    less_forced,
+    parse,
+    premises,
+    render,
     representative,
     validate_interpretation,
 )
@@ -277,7 +279,8 @@ def test_conclusions_of_proofs_over_extension_are_members(sp_p):
         def walk(node):
             assert sp_p.member(node.conclusion)
             if node.children:
-                from prooflab import big_and, big_or, entails
+                from prooflab import big_and, entails
+                from prooflab.spec import big_or
 
                 parts = [c.conclusion for c in node.children]
                 assert entails(big_and(parts), node.conclusion) or entails(

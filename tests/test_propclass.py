@@ -5,18 +5,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from prooflab import (
     CONTRADICTION,
-    And,
-    Atom,
-    Not,
-    Or,
     TAUTOLOGY,
     ParseError,
     PropClass,
     ResourceLimit,
     all_classes,
     big_and,
-    big_or,
-    canonicalize,
     class_and,
     class_from_text,
     class_iff,
@@ -24,6 +18,14 @@ from prooflab import (
     class_or,
     entails,
     is_tautology,
+)
+from prooflab.spec import (
+    And,
+    Atom,
+    Not,
+    Or,
+    big_or,
+    canonicalize,
     parse,
     render,
     representative,

@@ -8,34 +8,32 @@ import os
 import pickle
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import prooflab
 from prooflab import _record
-from prooflab import deduction, formula, module_algebra, propclass, sigma
+from prooflab import deduction, formula, module_algebra, propclass, sigma, spec
 from prooflab import (
-    And,
-    Atom,
     ClassScalar,
     Deduction,
     DeductionReport,
     FormalOne,
     InferenceRule,
     Interpretation,
-    Not,
-    Or,
     PropClass,
     SigmaPrime,
     Valuation,
     canonicalize_text,
     lindenbaum_extend,
 )
+from prooflab.spec import And, Atom, Not, Or
 from prooflab.deduction import StepReport
 from prooflab.sigma import LawCheck, LawReport
 
-RECORD_MODULES = (formula, propclass, deduction, sigma, module_algebra)
+RECORD_MODULES = (formula, spec, propclass, deduction, sigma, module_algebra)
 
 
 def samples():
@@ -235,6 +233,27 @@ def test_cli_import_loads_no_dataclasses():
     assert loaded[:1] == ["[p;01]"]
     assert "prooflab._record" in loaded
     assert [name for name in HEAVY if name in loaded] == []
+
+
+# the reference spec, imported first in a fresh interpreter
+SPEC_PROBE = """
+import sys
+from prooflab import spec
+from prooflab.propclass import canonicalize_text
+for text in sys.argv[1:]:
+    print(spec.canonicalize(spec.parse(text)) == canonicalize_text(text))
+"""
+
+
+def test_cli_import_leaves_out_the_reference_spec():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    run = partial(subprocess.run, capture_output=True, text=True, check=True, env=env)
+    loaded = run([sys.executable, "-S", "-c", IMPORT_PROBE]).stdout.split()
+    assert loaded[:1] == ["[p;01]"]
+    assert "prooflab.cli" in loaded and "prooflab.spec" not in loaded
+    texts = ["p", "p | ~p", "q & (r <-> s)", "~(a | b) & c", "x0 <-> x1 <-> x2"]
+    same = run([sys.executable, "-S", "-c", SPEC_PROBE, *texts]).stdout.split()
+    assert same == ["True"] * len(texts)
 
 
 def test_package_imports_at_module_level_only():

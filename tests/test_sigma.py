@@ -11,7 +11,6 @@ from prooflab import (
     SigmaPrime,
     Valuation,
     all_classes,
-    canonicalize,
     check_ring_axioms,
     class_and,
     class_iff,
@@ -19,10 +18,10 @@ from prooflab import (
     class_or,
     entails,
     lindenbaum_extend,
-    parse,
     ring_add,
     ring_mul,
 )
+from prooflab.spec import canonicalize, parse
 from prooflab.sigma import LawCheck, LawReport
 
 from _oracles import class_value, member_oracle, random_formula, ring_audit_oracle, witness_oracle

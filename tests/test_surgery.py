@@ -12,9 +12,7 @@ from prooflab import (
     PremiseDonor,
     ProofNode,
     SigmaPrime,
-    build_proof,
     canonical_serialize,
-    canonicalize,
     digest_hex,
     eliminate_subproof,
     extract_subproof,
@@ -23,12 +21,11 @@ from prooflab import (
     induce_interpretation,
     lindenbaum_extend,
     normalize,
-    parse,
     parse_path,
-    premises,
     proof_eq,
     replace_subproof,
 )
+from prooflab.spec import build_proof, canonicalize, parse, premises
 from prooflab.proof import text_length
 from prooflab.surgery import _first_occurrence, _paths_below, _require_members
 
