@@ -5,9 +5,11 @@ A deduction is a finite sequence of classes over an extension context.
 A step is justified by membership in the extension, or by the
 conjunction or disjunction of some earlier steps reaching it in the
 Boolean order. Checks and readings need only the prefix conjunctions
-``AND(step 1..k)``, so they cost O(n²) class combines and have no step
-cap; ``spec.omega`` and ``spec.gamma`` keep the subset definitions as
-the reference the tests check them against.
+``AND(step 1..k)``, so neither has a step cap. A reading of n steps
+costs fewer than n combines and n entailments; only a check's greedy
+search for the earlier steps H a justification uses is O(n²) combines.
+``spec.omega`` and ``spec.gamma`` keep the subset definitions as the
+reference the tests check them against.
 
 Because the extension is deductively closed, the original membership
 clauses (literal membership of the base set, or one-step derivability
@@ -156,17 +158,11 @@ def check_deduction(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> Deduction
     return DeductionReport(tuple(reports))
 
 
-def induce_interpretation(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> Interpretation:
-    """The canonical reading: depth-first from the last step, each visited
-    step takes the justifying set with the greatest prime product, and
-    every step never reached is a premise. Justifying sets are closed
-    under supersets, so that set is the whole prefix {1..u-1}, and a
-    justified last step leads to every earlier step.
-
-    The prefix conjunctions are built first, so a prefix over the atom
-    cap raises :class:`ResourceLimit` before any step is judged. One pass
-    then marks step u reached when u > 1 and ``AND(step 1..u-1)`` entails
-    it; the first step neither reached nor a member raises
+def reached_steps(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> list[bool]:
+    """Whether each step u is reached: u > 1 and ``AND(step 1..u-1)``
+    entails it. The prefix conjunctions are built first, so a prefix
+    over the atom cap raises :class:`ResourceLimit` before any step is
+    judged; the first step neither reached nor a member raises
     :class:`InvalidDeduction`, naming the step :func:`check_deduction`
     reports first."""
     prefix = [TAUTOLOGY, *accumulate(d.steps[:-1], partial(class_and, atom_cap=atom_cap))]
@@ -176,6 +172,16 @@ def induce_interpretation(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> Int
         if not hit and not d.context.member(c):
             raise InvalidDeduction(f"step {u} is not justified")
         reached.append(hit)
+    return reached
+
+
+def induce_interpretation(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> Interpretation:
+    """The canonical reading: depth-first from the last step, each visited
+    step takes the justifying set with the greatest prime product, and
+    every step never reached is a premise. Justifying sets are closed
+    under supersets, so that set is the whole prefix {1..u-1}, given to
+    each reached step when the last step is reached."""
+    reached = reached_steps(d, atom_cap)
     last = reached[-1]
     return Interpretation(
         {u: frozenset(range(1, u)) if last and hit else 0 for u, hit in enumerate(reached, 1)}

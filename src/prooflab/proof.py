@@ -1,4 +1,4 @@
-"""Set-tree proof objects: construction from induced readings,
+"""Set-tree proof objects: construction from canonical readings,
 canonical serialization, digests, and essential equality.
 
 A node is either a premise (no justification) or carries a nonempty
@@ -21,8 +21,8 @@ and normal form at most once and keeps them; a node that no proof
 holds any more leaves the table with its caches.
 
 Normalization rewrites every tautology-concluded node to premise form;
-it is applied to every constructed proof. A proof of a caller's own
-reading, which must be checked first, is ``spec.build_proof``.
+it is applied to every constructed proof. A caller's own reading,
+which must be checked first, is assembled by ``spec.build_proof``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .propclass import (
     class_from_text,
     is_tautology,
 )
-from .deduction import Deduction, Interpretation, induce_interpretation
+from .deduction import Deduction, reached_steps
 
 ProofDigest = bytes
 
@@ -239,31 +239,19 @@ def _normalize(node: ProofNode, value: Callable[[ProofNode], ProofNode]) -> Proo
 
 
 def prove(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> ProofNode:
-    """The proof tree of ``d`` under its canonical reading.
-
-    :func:`induce_interpretation` returns only readings that validate
-    (every step it reaches is entailed by the steps before it, and every
-    other step is an extension member), so the reading is not checked
-    again as ``spec.build_proof`` checks a caller's."""
-    return _assemble(d, induce_interpretation(d, atom_cap))
-
-
-def _assemble(d: Deduction, phi: Interpretation) -> ProofNode:
-    """The proof tree of a reading already known to interpret ``d``.
-
-    Steps are built in order, since an index set names earlier steps
-    only: a premise index becomes a premise node, an index set becomes
-    the set of its sub-proofs (equal subtrees collapse). A tautology
-    step becomes a premise node as it is built, so the result is
-    normalized with one node object per step.
-    """
+    """The normalized proof tree of ``d`` under its canonical reading,
+    built from :func:`reached_steps` without the reading's index sets:
+    when the last step is reached, each reached step that is no
+    tautology is justified by every node before it, and every other
+    step is a premise (equal premises are one interned node). That
+    reading validates, so it skips the check ``spec.build_proof`` makes."""
+    reached = reached_steps(d, atom_cap)
     nodes: list[ProofNode] = []  # nodes[u - 1] proves step u
-    for u in range(1, len(d) + 1):
-        v = phi.assignment[u]
-        if v == 0 or is_tautology(d.step(u)):
-            nodes.append(ProofNode(d.step(u)))
+    for c, hit in zip(d.steps, reached):
+        if hit and reached[-1] and not is_tautology(c):
+            nodes.append(ProofNode(c, frozenset(nodes)))
         else:
-            nodes.append(ProofNode(d.step(u), frozenset(nodes[h - 1] for h in v)))
+            nodes.append(ProofNode(c))
     return nodes[-1]
 
 

@@ -17,9 +17,10 @@ compile it. It holds:
   primes and their product :func:`gamma`, and
   :func:`validate_interpretation` of a caller's reading. ``check`` and
   ``interpret`` need only the prefix conjunctions (``deduction``), and
-  ``prove`` assembles the reading it induces without checking it again;
-- :func:`build_proof` of a caller's reading, :func:`essentially_equal`,
-  :func:`premises`, :func:`less_forced` and :func:`embed_premise`.
+  ``prove`` builds from ``deduction.reached_steps`` alone;
+- :func:`build_proof`, which checks and assembles a caller's reading
+  itself, :func:`essentially_equal`, :func:`premises`,
+  :func:`less_forced` and :func:`embed_premise`.
 
 Limit: the records ``==``, ``hash`` and ``repr`` recurse through their
 fields once per level of a formula. A parsed tree is at most
@@ -44,7 +45,7 @@ from .errors import InvalidInterpretation, ResourceLimit
 from .formula import ATOM_RE, Valuation, build, tokenize, walk
 from .propclass import DEFAULT_ATOM_CAP, PropClass, _columns, _pruned, big_and, class_or, entails
 from .deduction import Deduction, Interpretation
-from .proof import ProofNode, _assemble, proof_eq
+from .proof import ProofNode, normalize, proof_eq
 from .sigma import SigmaPrime
 
 # --- formulas ------------------------------------------------------------
@@ -308,11 +309,16 @@ def validate_interpretation(
 def build_proof(
     d: Deduction, phi: Interpretation, atom_cap: int = DEFAULT_ATOM_CAP
 ) -> ProofNode:
-    """The proof tree of an interpreted deduction; a reading that does
-    not interpret ``d`` raises :class:`InvalidInterpretation`."""
+    """The normalized proof tree of an interpreted deduction, a node per
+    step; a reading that does not interpret ``d`` raises
+    :class:`InvalidInterpretation`."""
     if not validate_interpretation(d, phi, atom_cap):
         raise InvalidInterpretation("the assignment does not interpret this deduction")
-    return _assemble(d, phi)
+    nodes: list[ProofNode] = []  # nodes[u - 1] proves step u
+    for u, c in enumerate(d.steps, 1):
+        v = phi.assignment[u]
+        nodes.append(ProofNode(c, None if v == 0 else frozenset(nodes[h - 1] for h in v)))
+    return normalize(nodes[-1])
 
 
 def essentially_equal(

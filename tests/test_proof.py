@@ -200,6 +200,25 @@ def test_induced_readings_validate_so_prove_skips_the_check(rng, n_atoms, insert
     assert prove(d) is build_proof(d, phi)
 
 
+def test_prove_builds_no_index_set_reading(monkeypatch, sp_p):
+    # prove builds from the reached steps alone: the reading's index
+    # sets, n²/2 indices on the chain, are never written out. In the
+    # second deduction step 2 is reached but the last step is not, so
+    # every step is a premise
+    cases = [ded(sp_p, "p", *["p | q"] * 199), ded(sp_p, "p | q", "p | q | r", "p")]
+
+    def no_reading(*args):
+        raise AssertionError("an index-set reading was built")
+
+    monkeypatch.setattr("prooflab.deduction.Interpretation", no_reading)
+    proofs = [prove(d) for d in cases]
+    monkeypatch.undo()
+    for d, r in zip(cases, proofs):
+        assert r is build_proof(d, induce_interpretation(d))
+    assert len(proofs[0].children) == 199
+    assert proofs[1] is ProofNode(cls("p"))
+
+
 def test_duplicate_subtrees_collapse(sp_pq):
     # two premise steps with the same class yield one child in the set
     d = ded(sp_pq, "p", "p", "p | q")
