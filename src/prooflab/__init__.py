@@ -4,9 +4,9 @@ Canonical Boolean-function classes, a restricted deduction calculus
 with machine-induced readings, set-tree proof objects, and a module of
 proofs over a maximal consistent extension of a finite base set.
 
-The paper's reference definitions (formula trees, Ω, γ, checked
-readings) are in :mod:`prooflab.spec`, which this package does not
-import: ``from prooflab.spec import parse``.
+The paper's reference definitions (formula trees, Ω, γ, the
+index-set reading and its check) are in :mod:`prooflab.spec`, which
+this package does not import: ``from prooflab.spec import parse``.
 """
 
 from .errors import (
@@ -56,11 +56,9 @@ from .deduction import (
     Deduction,
     DeductionReport,
     InferenceRule,
-    Interpretation,
     check_deduction,
     check_rule,
     classical_rules_report,
-    induce_interpretation,
 )
 from .proof import (
     ProofNode,

@@ -18,7 +18,8 @@ from .deduction import (
     Deduction,
     check_deduction,
     classical_rules_report,
-    induce_interpretation,
+    reached_steps,
+    reading_lines,
 )
 from .errors import ProofLabError
 from .files import (
@@ -264,9 +265,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "interpret":
-        d = _load_deduction(args)
-        phi = induce_interpretation(d, args.atom_cap)
-        for line in phi.lines():
+        reached = reached_steps(_load_deduction(args), args.atom_cap)
+        for line in reading_lines(reached):
             print(line)
         return 0
 

@@ -1,15 +1,18 @@
-"""Deduction validation and the induced interpretation picked by
-greatest prime product.
+"""Deduction validation and the flags of the induced reading.
 
 A deduction is a finite sequence of classes over an extension context.
 A step is justified by membership in the extension, or by the
 conjunction or disjunction of some earlier steps reaching it in the
 Boolean order. Checks and readings need only the prefix conjunctions
-``AND(step 1..k)``, so neither has a step cap. A reading of n steps
-costs fewer than n combines and n entailments; only a check's greedy
+``AND(step 1..k)``, so neither has a step cap. The reading picked by
+greatest prime product gives a step the whole prefix ``{1..u-1}`` or
+nothing, so it is one flag per step, :func:`reached_steps`; a reading of
+n steps costs fewer than n combines and n entailments, and
+:func:`reading_lines` writes it from those flags. Only a check's greedy
 search for the earlier steps H a justification uses is O(n²) combines.
-``spec.omega`` and ``spec.gamma`` keep the subset definitions as the
-reference the tests check them against.
+``spec.omega``, ``spec.gamma`` and ``spec.induce_interpretation`` keep
+the subset definitions and the index-set reading as the reference the
+tests check these against.
 
 Because the extension is deductively closed, the original membership
 clauses (literal membership of the base set, or one-step derivability
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import accumulate, product
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterator
 
 from ._record import record
 from .errors import InvalidDeduction
@@ -58,26 +61,6 @@ class Deduction:
     def step(self, i: int) -> PropClass:
         """1-based step access."""
         return self.steps[i - 1]
-
-
-PhiValue = Union[int, frozenset[int]]  # 0 for a premise, else the index set
-
-
-@record
-class Interpretation:
-    """Map from step index to 0 (premise) or a justifying index set."""
-
-    assignment: Mapping[int, PhiValue]
-
-    def lines(self) -> list[str]:
-        out = []
-        for i in sorted(self.assignment):
-            v = self.assignment[i]
-            if v == 0:
-                out.append(f"{i}: 0")
-            else:
-                out.append("%d: {%s}" % (i, ",".join(map(str, sorted(v)))))
-        return out
 
 
 @record
@@ -175,17 +158,14 @@ def reached_steps(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> list[bool]:
     return reached
 
 
-def induce_interpretation(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> Interpretation:
-    """The canonical reading: depth-first from the last step, each visited
-    step takes the justifying set with the greatest prime product, and
-    every step never reached is a premise. Justifying sets are closed
-    under supersets, so that set is the whole prefix {1..u-1}, given to
-    each reached step when the last step is reached."""
-    reached = reached_steps(d, atom_cap)
-    last = reached[-1]
-    return Interpretation(
-        {u: frozenset(range(1, u)) if last and hit else 0 for u, hit in enumerate(reached, 1)}
-    )
+def reading_lines(reached: list[bool]) -> Iterator[str]:
+    """The induced reading from the flags of :func:`reached_steps`, one
+    line per step as it is asked for: ``u: {1,...,u-1}`` when step u and
+    the last step are reached, else ``u: 0`` (a premise)."""
+    last, prior = reached[-1], []
+    for u, hit in enumerate(reached, 1):
+        yield "%d: {%s}" % (u, ",".join(prior)) if last and hit else f"{u}: 0"
+        prior.append(str(u))
 
 
 # --- the classical rule table -------------------------------------------

@@ -15,10 +15,10 @@ Nodes are hash-consed (Ershov 1958; Filliâtre and Conchon, "Type-safe
 modular hash-consing", 2006): ``ProofNode(conclusion, children)``
 returns the one live node with that conclusion and child set, held in
 a weak-value intern table keyed on the two. Structurally equal proofs
-are the same object, so essential equality is identity and a node's
-hash is computed once. Each node computes its canonical text, digest
-and normal form at most once and keeps them; a node that no proof
-holds any more leaves the table with its caches.
+are the same object, so essential equality is identity, and a node
+hashes by identity. Each node computes its canonical text, digest and
+normal form at most once and keeps them; a node that no proof holds
+any more leaves the table with its caches.
 
 Normalization rewrites every tautology-concluded node to premise form;
 it is applied to every constructed proof. A caller's own reading,
@@ -71,11 +71,11 @@ class ProofNode:
 
     ``children is None`` marks a premise; otherwise ``children`` is a
     nonempty frozenset of sub-proofs. Nodes are interned and immutable:
-    equal content gives the same object, so ``==`` is ``is``, and the
-    hash is that of the tuple ``(conclusion, children)``.
+    equal content gives the same object, so ``==`` is ``is`` and the
+    hash is the identity hash.
     """
 
-    __slots__ = ("conclusion", "children", "_hash", "_text", "_digest", "_normal", "__weakref__")
+    __slots__ = ("conclusion", "children", "_text", "_digest", "_normal", "__weakref__")
 
     conclusion: PropClass
     children: Optional[frozenset[ProofNode]]
@@ -92,7 +92,6 @@ class ProofNode:
             node = object.__new__(cls)
             _set_conclusion(node, conclusion)
             _set_children(node, children)
-            _set_hash(node, hash(key))
             _set_text(node, None)
             _set_digest(node, None)
             _set_normal(node, None)
@@ -105,9 +104,6 @@ class ProofNode:
 
     def __delattr__(self, name: str) -> NoReturn:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         # unpickling interns again, so a round trip gives the same node
@@ -128,7 +124,6 @@ class ProofNode:
 # through their descriptors
 _set_conclusion = ProofNode.conclusion.__set__
 _set_children = ProofNode.children.__set__
-_set_hash = ProofNode._hash.__set__
 _set_text = ProofNode._text.__set__
 _set_digest = ProofNode._digest.__set__
 _set_normal = ProofNode._normal.__set__

@@ -14,10 +14,12 @@ compile it. It holds:
 - :func:`canonicalize` of a tree, the full-DNF :func:`representative`
   of a class, and :func:`big_or`;
 - the subset definitions of readings: :func:`omega`, the positional
-  primes and their product :func:`gamma`, and
-  :func:`validate_interpretation` of a caller's reading. ``check`` and
-  ``interpret`` need only the prefix conjunctions (``deduction``), and
-  ``prove`` builds from ``deduction.reached_steps`` alone;
+  primes and their product :func:`gamma`, the index-set reading
+  :class:`Interpretation` that :func:`induce_interpretation` picks by
+  greatest prime product, and :func:`validate_interpretation` of a
+  caller's reading. ``check`` needs only the prefix conjunctions, and
+  ``interpret`` and ``prove`` only the flags of
+  ``deduction.reached_steps``;
 - :func:`build_proof`, which checks and assembles a caller's reading
   itself, :func:`essentially_equal`, :func:`premises`,
   :func:`less_forced` and :func:`embed_premise`.
@@ -38,13 +40,13 @@ from __future__ import annotations
 import math
 from functools import partial, reduce
 from operator import and_, is_, not_, or_
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 from ._record import record
 from .errors import InvalidInterpretation, ResourceLimit
 from .formula import ATOM_RE, Valuation, build, tokenize, walk
 from .propclass import DEFAULT_ATOM_CAP, PropClass, _columns, _pruned, big_and, class_or, entails
-from .deduction import Deduction, Interpretation
+from .deduction import Deduction, reached_steps
 from .proof import ProofNode, normalize, proof_eq
 from .sigma import SigmaPrime
 
@@ -277,6 +279,29 @@ def gamma(h: Iterable[int]) -> int:
     if not indices:
         raise ValueError("gamma needs a nonempty index set")
     return math.prod(nth_prime(j) for j in indices)
+
+
+PhiValue = Union[int, frozenset[int]]  # 0 for a premise, else the index set
+
+
+@record
+class Interpretation:
+    """Map from step index to 0 (premise) or a justifying index set."""
+
+    assignment: Mapping[int, PhiValue]
+
+
+def induce_interpretation(d: Deduction, atom_cap: int = DEFAULT_ATOM_CAP) -> Interpretation:
+    """The canonical reading: depth-first from the last step, each visited
+    step takes the justifying set with the greatest prime product, and
+    every step never reached is a premise. Justifying sets are closed
+    under supersets, so that set is the whole prefix {1..u-1}, given to
+    each reached step when the last step is reached."""
+    reached = reached_steps(d, atom_cap)
+    last = reached[-1]
+    return Interpretation(
+        {u: frozenset(range(1, u)) if last and hit else 0 for u, hit in enumerate(reached, 1)}
+    )
 
 
 def validate_interpretation(

@@ -31,7 +31,6 @@ from prooflab import (
     eliminate_subproof,
     extract_subproof,
     find_occurrences,
-    induce_interpretation,
     lindenbaum_extend,
     neutral_proof,
     normalize,
@@ -42,6 +41,7 @@ from prooflab import (
 from prooflab.spec import (
     canonicalize,
     gamma,
+    induce_interpretation,
     omega,
     parse,
     render,

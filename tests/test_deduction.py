@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import random
 import subprocess
@@ -13,7 +14,6 @@ import prooflab
 from prooflab import cli, deduction
 from prooflab import (
     Deduction,
-    Interpretation,
     InvalidDeduction,
     ResourceLimit,
     check_deduction,
@@ -23,18 +23,19 @@ from prooflab import (
     class_iff,
     class_not,
     class_or,
-    induce_interpretation,
     lindenbaum_extend,
 )
 from prooflab.spec import (
+    Interpretation,
     canonicalize,
     gamma,
+    induce_interpretation,
     nth_prime,
     omega,
     parse,
     validate_interpretation,
 )
-from prooflab.deduction import CLASSICAL_RULES, InferenceRule
+from prooflab.deduction import CLASSICAL_RULES, InferenceRule, reached_steps, reading_lines
 
 from _oracles import (
     check_rule_oracle,
@@ -314,10 +315,11 @@ def test_check_and_reading_match_subset_oracles(rng, n_atoms, inserted):
 
     if not report.valid:
         with pytest.raises(InvalidDeduction):
-            induce_interpretation(d)
+            reached_steps(d)
         return
     reading = reading_oracle(d)
-    assert induce_interpretation(d).lines() == [
+    assert induce_interpretation(d).assignment == reading
+    assert list(reading_lines(reached_steps(d))) == [
         f"{u}: 0" if reading[u] == 0 else f"{u}: {_set_text(reading[u])}"
         for u in sorted(reading)
     ]
@@ -434,6 +436,50 @@ def test_classical_rules_match_every_instance():
 def test_rule_budget_guard():
     with pytest.raises(ValueError):
         check_rule(CLASSICAL_RULES[0], atom_budget=4)
+
+
+# Linux keeps a process's peak RSS across exec, so a child forked from
+# the test runner would start at the runner's peak: a fresh interpreter
+# forks the command instead, and prints its exit code and ru_maxrss
+WAIT4 = """
+import os, subprocess, sys
+
+with open(sys.argv[1], "wb") as out:
+    child = subprocess.Popen(sys.argv[2:], stdout=out)
+    _, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the child's peak RSS")
+def test_interpret_writes_a_long_reading_in_small_memory(tmp_path):
+    # under base p, p repeated 3,000 times reaches every step but the
+    # first, so the reading spells out 4.5 million indices (19.7 MB of
+    # text); interpret writes it line by line from one flag per step,
+    # so it never holds the index sets
+    n = 3000
+    (tmp_path / "base.txt").write_text("p\n")
+    (tmp_path / "d.txt").write_text("premises: base.txt\n" + "p\n" * n)
+    expected = hashlib.sha256(b"1: 0\n")
+    for u in range(2, n + 1):
+        expected.update(b"%d: {%s}\n" % (u, ",".join(map(str, range(1, u))).encode()))
+    src = str(Path(prooflab.__file__).resolve().parent.parent)
+    out = tmp_path / "out.txt"
+    argv = [sys.executable, "-m", "prooflab.cli", "interpret", str(tmp_path / "d.txt")]
+    done = subprocess.run(
+        [sys.executable, "-c", WAIT4, str(out), *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    code, maxrss = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    assert hashlib.sha256(out.read_bytes()).digest() == expected.digest()
+    # ru_maxrss is in kilobytes, and in bytes on macOS
+    peak_mb = maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert peak_mb < 64, f"peak RSS {peak_mb:.1f} MB"
 
 
 BASE_TAG_CALLS = """

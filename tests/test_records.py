@@ -22,14 +22,13 @@ from prooflab import (
     DeductionReport,
     FormalOne,
     InferenceRule,
-    Interpretation,
     PropClass,
     SigmaPrime,
     Valuation,
     canonicalize_text,
     lindenbaum_extend,
 )
-from prooflab.spec import And, Atom, Not, Or
+from prooflab.spec import And, Atom, Interpretation, Not, Or
 from prooflab.deduction import StepReport
 from prooflab.sigma import LawCheck, LawReport
 

@@ -18,14 +18,13 @@ from prooflab import (
     extract_subproof,
     find_occurrences,
     format_path,
-    induce_interpretation,
     lindenbaum_extend,
     normalize,
     parse_path,
     proof_eq,
     replace_subproof,
 )
-from prooflab.spec import build_proof, canonicalize, parse, premises
+from prooflab.spec import build_proof, canonicalize, induce_interpretation, parse, premises
 from prooflab.proof import text_length
 from prooflab.surgery import _first_occurrence, _paths_below, _require_members
 
